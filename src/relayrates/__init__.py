@@ -18,8 +18,6 @@ from .channel import (
     mmse_quality,
 )
 from .oracle import (
-    AllocationResult,
-    SearchMethod,
     VectorChannelSample,
     af_rate_logdet,
     grid_argmax,
@@ -30,7 +28,6 @@ from .oracle import (
 )
 from .optimize import (
     PowerSplit,
-    closed_grid,
     joint_allocation,
     optimal_delta_r,
     optimize_theta,
@@ -44,10 +41,13 @@ from .rates import (
     W_RD,
     W_SD,
     W_SR,
+    AllocationResult,
     ExpectationSpec,
     Method,
     RateEstimate,
+    SearchMethod,
     af_rate,
+    closed_grid,
     df_parallel_rate,
     df_repetition_rate,
     exp_draws,

@@ -32,7 +32,7 @@ from .oracle import (
     simulate_training_quality,
 )
 from .optimize import (
-    closed_grid,
+    PowerSplit,
     optimal_delta_r,
     snr_gain_g_coefficient,
     suboptimal_delta_s,
@@ -40,13 +40,13 @@ from .optimize import (
 )
 from .rates import (
     COMBINING,
+    RATE_FN,
     RELAY_DECODING,
     ExpectationSpec,
     Method,
     RateEstimate,
     af_rate,
-    df_parallel_rate,
-    df_repetition_rate,
+    closed_grid,
 )
 
 LN2 = math.log(2.0)
@@ -55,11 +55,6 @@ _SCHEMES = {
     "af": Scheme.AF,
     "df-rep": Scheme.DF_REPETITION,
     "df-par": Scheme.DF_PARALLEL,
-}
-_RATE_FN = {
-    Scheme.AF: af_rate,
-    Scheme.DF_REPETITION: df_repetition_rate,
-    Scheme.DF_PARALLEL: df_parallel_rate,
 }
 
 THETA_CSV_HEADER = ["theta", "rate_nats", "std_error", "scheme", "sigma_sd", "sigma_sr",
@@ -80,6 +75,12 @@ class Preset:
 _FIG_COMMENT = "m = 50 assumed (block length is not pinned down for this sweep family)"
 _FIG_TRIPLES = ((1.0, 10.0, 2.0), (1.0, 6.0, 3.0), (1.0, 4.0, 4.0), (1.0, 2.0, 1.0))
 
+
+def _theta_preset(scheme: str, p: float) -> Preset:
+    params = {"scheme": scheme, "p": p, "m": 50, "n0": 1.0, "delta_s": 0.1, "delta_r": 0.1}
+    return Preset("sweep-theta", _FIG_COMMENT, params, _FIG_TRIPLES)
+
+
 PRESETS = {
     "fig1": Preset(
         command="sweep-sigma-rd",
@@ -87,24 +88,12 @@ PRESETS = {
         params={"m": 50, "pr": (1.0, 10.0, 100.0), "lo": 0.5, "hi": 5.0,
                 "step": 0.1, "n0": 1.0},
     ),
-    "fig2": Preset("sweep-theta", _FIG_COMMENT,
-                   {"scheme": "af", "p": 100.0, "m": 50, "n0": 1.0,
-                    "delta_s": 0.1, "delta_r": 0.1}, _FIG_TRIPLES),
-    "fig3": Preset("sweep-theta", _FIG_COMMENT,
-                   {"scheme": "df-rep", "p": 100.0, "m": 50, "n0": 1.0,
-                    "delta_s": 0.1, "delta_r": 0.1}, _FIG_TRIPLES),
-    "fig4": Preset("sweep-theta", _FIG_COMMENT,
-                   {"scheme": "df-par", "p": 100.0, "m": 50, "n0": 1.0,
-                    "delta_s": 0.1, "delta_r": 0.1}, _FIG_TRIPLES),
-    "fig5": Preset("sweep-theta", _FIG_COMMENT,
-                   {"scheme": "af", "p": 1.0, "m": 50, "n0": 1.0,
-                    "delta_s": 0.1, "delta_r": 0.1}, _FIG_TRIPLES),
-    "fig6": Preset("sweep-theta", _FIG_COMMENT,
-                   {"scheme": "df-rep", "p": 1.0, "m": 50, "n0": 1.0,
-                    "delta_s": 0.1, "delta_r": 0.1}, _FIG_TRIPLES),
-    "fig7": Preset("sweep-theta", _FIG_COMMENT,
-                   {"scheme": "df-par", "p": 1.0, "m": 50, "n0": 1.0,
-                    "delta_s": 0.1, "delta_r": 0.1}, _FIG_TRIPLES),
+    "fig2": _theta_preset("af", 100.0),
+    "fig3": _theta_preset("df-rep", 100.0),
+    "fig4": _theta_preset("df-par", 100.0),
+    "fig5": _theta_preset("af", 1.0),
+    "fig6": _theta_preset("df-rep", 1.0),
+    "fig7": _theta_preset("df-par", 1.0),
 }
 
 
@@ -196,24 +185,32 @@ def _rate_tokens(rate: RateEstimate, bits: bool) -> list[str]:
 
 
 def cmd_rate(args) -> int:
-    if args.p is not None or args.theta is not None:
-        if args.p is None or args.theta is None or args.ps is not None or args.pr is not None:
-            raise ValueError("give either --ps and --pr, or --p together with --theta")
-        p_s = args.theta * args.p
-        p_r = args.p - p_s
-    else:
-        if args.ps is None or args.pr is None:
-            raise ValueError("give either --ps and --pr, or --p together with --theta")
+    if None not in (args.p, args.theta) and args.ps is None and args.pr is None:
+        split = PowerSplit(total=args.p, theta=args.theta)
+        p_s, p_r = split.p_s, split.p_r
+    elif None not in (args.ps, args.pr) and args.p is None and args.theta is None:
         p_s, p_r = args.ps, args.pr
+    else:
+        raise ValueError("give either --ps and --pr, or --p together with --theta")
     scheme = _SCHEMES[args.scheme]
     stats = ChannelStats(*args.sigma[:3], n0=args.n0)
     cfg = SystemConfig(m=args.m, p_s=p_s, p_r=p_r, delta_s=args.delta_s,
                        delta_r=args.delta_r, scheme=scheme)
-    rate = _RATE_FN[scheme](cfg, stats, _expectation_spec(args))
+    rate = RATE_FN[scheme](cfg, stats, _expectation_spec(args))
     tokens = [f"scheme={args.scheme}"] + _rate_tokens(rate, args.bits)
     tokens += [f"samples={rate.samples}", f"seed={args.seed}", f"method={args.method}"]
     print(" ".join(tokens))
     return 0
+
+
+def _preset(args, command: str) -> Preset | None:
+    if not args.preset:
+        return None
+    preset = PRESETS.get(args.preset)
+    if preset is None or preset.command != command:
+        raise ValueError(f"unknown {command} preset {args.preset!r}")
+    print(f"note: preset {args.preset}: {preset.comment}")
+    return preset
 
 
 def _preset_value(args, preset: Preset | None, key: str, default=None):
@@ -228,12 +225,7 @@ def _preset_value(args, preset: Preset | None, key: str, default=None):
 
 
 def cmd_sweep_theta(args) -> int:
-    preset = None
-    if args.preset:
-        preset = PRESETS.get(args.preset)
-        if preset is None or preset.command != "sweep-theta":
-            raise ValueError(f"unknown sweep-theta preset {args.preset!r}")
-        print(f"note: preset {args.preset}: {preset.comment}")
+    preset = _preset(args, "sweep-theta")
 
     scheme_name = _preset_value(args, preset, "scheme")
     total_p = _preset_value(args, preset, "p")
@@ -278,12 +270,7 @@ def cmd_sweep_theta(args) -> int:
 
 
 def cmd_sweep_sigma_rd(args) -> int:
-    preset = None
-    if args.preset:
-        preset = PRESETS.get(args.preset)
-        if preset is None or preset.command != "sweep-sigma-rd":
-            raise ValueError(f"unknown sweep-sigma-rd preset {args.preset!r}")
-        print(f"note: preset {args.preset}: {preset.comment}")
+    preset = _preset(args, "sweep-sigma-rd")
 
     m = _preset_value(args, preset, "m")
     prs = _preset_value(args, preset, "pr")
@@ -324,7 +311,7 @@ def cmd_optimal_training(args) -> int:
         def full_rate(delta: float) -> float:
             cfg = SystemConfig(m=args.m, p_s=args.ps, p_r=args.pr,
                                delta_s=args.delta_s, delta_r=delta, scheme=scheme)
-            return _RATE_FN[scheme](cfg, stats, spec).value
+            return RATE_FN[scheme](cfg, stats, spec).value
 
         found = grid_argmax(full_rate, 0.0, 1.0, args.delta_step)
         print(f"delta_r_grid={found.argument!r} rate_nats={found.rate.value!r} "

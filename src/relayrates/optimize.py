@@ -16,22 +16,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .channel import ChannelStats, Scheme, SystemConfig
-from .oracle import AllocationResult, SearchMethod
 from .rates import (
+    RATE_FN,
+    AllocationResult,
     ExpectationSpec,
-    Method,
     RateEstimate,
-    af_rate,
-    df_parallel_rate,
-    df_repetition_rate,
-    snr_gain_g,
+    SearchMethod,
+    _gain_coefficient,
+    closed_grid,
 )
-
-_RATE_FN = {
-    Scheme.AF: af_rate,
-    Scheme.DF_REPETITION: df_repetition_rate,
-    Scheme.DF_PARALLEL: df_parallel_rate,
-}
 
 
 @dataclass(frozen=True)
@@ -55,21 +48,6 @@ class PowerSplit:
     def p_r(self) -> float:
         # defined as the remainder so p_s + p_r == total exactly
         return self.total - self.p_s
-
-
-def closed_grid(lo: float, hi: float, step: float) -> list[float]:
-    """Grid lo, lo+step, ..., hi with both endpoints present exactly."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    grid = [round(lo + i * step, 10) for i in range(count)]
-    if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
-        grid.append(hi)
-    else:
-        grid[-1] = hi
-    return grid
 
 
 def optimal_delta_r(m: int, p: float, sigma: float, n0: float) -> float:
@@ -110,12 +88,12 @@ def optimal_delta_r(m: int, p: float, sigma: float, n0: float) -> float:
 
 
 def snr_gain_g_coefficient(a, b: float, c: float, n0: float, m: int):
-    """Coefficient of |w|^2 in the SNR gain, vectorized over the training fraction."""
-    a = np.asarray(a, dtype=float)
-    c2 = c * c
-    num = 2.0 * a * (1.0 - a) * m * m * b * b * c2 * c2
-    den = 2.0 * (1.0 - a) * m * b * c2 * n0 + (m - 2.0) * (c2 * a * m * b + n0) * n0
-    return num / den
+    """Coefficient of |w|^2 in the SNR gain, vectorized over the training fraction.
+
+    Same formula as :func:`relayrates.rates.snr_gain_g` at |w|^2 = 1, without
+    its input validation.
+    """
+    return _gain_coefficient(np.asarray(a, dtype=float), b, c, n0, m)
 
 
 def suboptimal_delta_s(m: int, p_s: float, stats: ChannelStats) -> tuple[float, float]:
@@ -137,7 +115,7 @@ def _rate_at(theta: float, total_power: float, stats: ChannelStats, m: int,
     split = PowerSplit(total=total_power, theta=theta)
     cfg = SystemConfig(m=m, p_s=split.p_s, p_r=split.p_r,
                        delta_s=delta_s, delta_r=delta_r, scheme=scheme)
-    return _RATE_FN[scheme](cfg, stats, spec)
+    return RATE_FN[scheme](cfg, stats, spec)
 
 
 def theta_sweep(total_power: float, stats: ChannelStats, m: int, delta_s: float,

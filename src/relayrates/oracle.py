@@ -10,14 +10,22 @@ package; disagreement beyond sampling noise is a bug by definition.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelStats, EstimationQuality, Scheme, SystemConfig, data_symbol_energy, mmse_quality
-from .rates import ExpectationSpec, Method, RateEstimate, f_combiner, stream
+from .rates import (
+    AllocationResult,
+    ExpectationSpec,
+    Method,
+    RateEstimate,
+    SearchMethod,
+    closed_grid,
+    f_combiner,
+    stream,
+)
 
 # Stream tags disjoint from the |w|^2 tags in rates: the oracle must sample
 # independently from the closed-form evaluator it checks.
@@ -26,22 +34,6 @@ EST_SR = 9
 EST_RD = 10
 TRAIN_CHANNEL = 16
 TRAIN_NOISE = 17
-
-
-class SearchMethod(enum.Enum):
-    CLOSED_FORM = "closed-form"
-    GRID = "grid"
-    GOLDEN_SECTION = "golden-section"
-
-
-@dataclass(frozen=True)
-class AllocationResult:
-    """Outcome of a scalar resource search: argument, value and bookkeeping."""
-
-    argument: float
-    rate: RateEstimate
-    method: SearchMethod
-    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -99,57 +91,63 @@ def simulate_training_quality(sigma: float, delta: float, m: int, p: float, n0: 
     return EstimationQuality(var_estimate=var_estimate, var_error=var_error)
 
 
-def _estimate_draws(cfg: SystemConfig, stats: ChannelStats, seed: int, n: int):
+def _vector_channel(cfg: SystemConfig, stats: ChannelStats, seed: int, n: int):
+    """n draws of the vector channel, batched.
+
+    Returns the estimates (h_sd, h_sr, h_rd), the relay gain beta at its
+    power limit, A (n, 2), the mixed-noise covariance (n, 2, 2) and the
+    energy moments (ex_s, ex_r, ez_r, ez_d, ez_dr).
+    """
     q_sd = mmse_quality(stats.sigma_sd, cfg.delta_s, cfg.m, cfg.p_s, stats.n0)
     q_sr = mmse_quality(stats.sigma_sr, cfg.delta_s, cfg.m, cfg.p_s, stats.n0)
     q_rd = mmse_quality(stats.sigma_rd, cfg.delta_r, cfg.m, cfg.p_r, stats.n0)
     h_sd = _complex_normal(stream(seed, EST_SD), q_sd.var_estimate, n)
     h_sr = _complex_normal(stream(seed, EST_SR), q_sr.var_estimate, n)
     h_rd = _complex_normal(stream(seed, EST_RD), q_rd.var_estimate, n)
-    return (q_sd, q_sr, q_rd), (h_sd, h_sr, h_rd)
 
-
-def _noise_moments(cfg: SystemConfig, stats: ChannelStats, qualities):
-    q_sd, q_sr, q_rd = qualities
     ex_s = data_symbol_energy(cfg.delta_s, cfg.m, cfg.p_s)
     ex_r = data_symbol_energy(cfg.delta_r, cfg.m, cfg.p_r)
     ez_r = q_sr.var_error * ex_s + stats.n0
     ez_d = q_sd.var_error * ex_s + stats.n0
     ez_dr = q_rd.var_error * ex_r + stats.n0
-    return ex_s, ex_r, ez_r, ez_d, ez_dr
+
+    beta = np.sqrt(ex_r / (np.abs(h_sr) ** 2 * ex_s + ez_r))
+    relayed = h_rd * beta
+
+    a = np.empty((n, 2), dtype=complex)
+    a[:, 0] = h_sd
+    a[:, 1] = relayed * h_sr
+
+    b = np.zeros((n, 2, 3), dtype=complex)
+    b[:, 0, 1] = 1.0
+    b[:, 1, 0] = relayed
+    b[:, 1, 2] = 1.0
+    d = np.diag([ez_r, ez_d, ez_dr]).astype(complex)
+    cov = b @ d @ b.conj().transpose(0, 2, 1)
+    return (h_sd, h_sr, h_rd), beta, a, cov, (ex_s, ex_r, ez_r, ez_d, ez_dr)
+
+
+def _logdet(signal_energy: float, a: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """log det(I + E|x|^2 * A A^H * Cov^-1) per draw, for (n, 2) A and (n, 2, 2) Cov."""
+    outer = signal_energy * a[:, :, None] * a.conj()[:, None, :]
+    k = np.eye(2, dtype=complex)[None, :, :] + outer @ np.linalg.inv(cov)
+    sign, logs = np.linalg.slogdet(k)
+    if np.any(np.abs(sign - 1.0) > 1e-9):
+        raise ArithmeticError("log-det integrand lost positivity")
+    return logs
 
 
 def vector_channel_samples(cfg: SystemConfig, stats: ChannelStats, seed: int,
                            count: int) -> list[VectorChannelSample]:
     """Materialize ``count`` draws of the vector channel for inspection."""
-    qualities, (h_sd, h_sr, h_rd) = _estimate_draws(cfg, stats, seed, count)
-    ex_s, ex_r, ez_r, ez_d, ez_dr = _noise_moments(cfg, stats, qualities)
-    out = []
-    for i in range(count):
-        beta = math.sqrt(ex_r / (abs(h_sr[i]) ** 2 * ex_s + ez_r))
-        relayed = h_rd[i] * beta
-        a_vec = np.array([h_sd[i], relayed * h_sr[i]])
-        b_mat = np.array([[0.0, 1.0, 0.0], [relayed, 0.0, 1.0]], dtype=complex)
-        noise_cov = b_mat @ np.diag([ez_r, ez_d, ez_dr]).astype(complex) @ b_mat.conj().T
-        out.append(VectorChannelSample(
-            h_hat_sd=complex(h_sd[i]),
-            h_hat_sr=complex(h_sr[i]),
-            h_hat_rd=complex(h_rd[i]),
-            beta=beta,
-            a_vec=a_vec,
-            noise_cov=noise_cov,
-        ))
-    return out
+    (h_sd, h_sr, h_rd), beta, a, cov, _ = _vector_channel(cfg, stats, seed, count)
+    return [VectorChannelSample(complex(h_sd[i]), complex(h_sr[i]), complex(h_rd[i]),
+                                float(beta[i]), a[i], cov[i]) for i in range(count)]
 
 
 def logdet_integrand(sample: VectorChannelSample, signal_energy: float) -> float:
     """log det(I + E|x|^2 * A A^H * Cov^-1) for one vector-channel draw."""
-    outer = signal_energy * np.outer(sample.a_vec, sample.a_vec.conj())
-    k = np.eye(2, dtype=complex) + outer @ np.linalg.inv(sample.noise_cov)
-    sign, logabs = np.linalg.slogdet(k)
-    if abs(sign - 1.0) > 1e-9:
-        raise ArithmeticError(f"log-det integrand lost positivity (sign {sign})")
-    return float(logabs)
+    return float(_logdet(signal_energy, sample.a_vec[None], sample.noise_cov[None])[0])
 
 
 def af_rate_logdet(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec) -> RateEstimate:
@@ -165,28 +163,8 @@ def af_rate_logdet(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec
     if spec.method is not Method.MONTE_CARLO:
         raise ValueError("the log-det oracle is Monte Carlo only")
     n = spec.samples
-    qualities, (h_sd, h_sr, h_rd) = _estimate_draws(cfg, stats, spec.seed, n)
-    ex_s, ex_r, ez_r, ez_d, ez_dr = _noise_moments(cfg, stats, qualities)
-
-    beta = np.sqrt(ex_r / (np.abs(h_sr) ** 2 * ex_s + ez_r))
-    relayed = h_rd * beta
-
-    a = np.empty((n, 2), dtype=complex)
-    a[:, 0] = h_sd
-    a[:, 1] = relayed * h_sr
-
-    b = np.zeros((n, 2, 3), dtype=complex)
-    b[:, 0, 1] = 1.0
-    b[:, 1, 0] = relayed
-    b[:, 1, 2] = 1.0
-    d = np.diag([ez_r, ez_d, ez_dr]).astype(complex)
-    cov = b @ d @ b.conj().transpose(0, 2, 1)
-
-    outer = ex_s * a[:, :, None] * a.conj()[:, None, :]
-    k = np.eye(2, dtype=complex)[None, :, :] + outer @ np.linalg.inv(cov)
-    sign, logs = np.linalg.slogdet(k)
-    if np.any(np.abs(sign - 1.0) > 1e-9):
-        raise ArithmeticError("log-det integrand lost positivity")
+    _, _, a, cov, (ex_s, *_) = _vector_channel(cfg, stats, spec.seed, n)
+    logs = _logdet(ex_s, a, cov)
 
     pref = (cfg.m - 2.0) / (2.0 * cfg.m)
     mean = float(logs.mean())
@@ -207,23 +185,15 @@ def max_identity_gap(cfg: SystemConfig, stats: ChannelStats, seed: int, count: i
     ``gain_scale`` multiplies the scalar-side SNRs (verify-harness fault
     injection, mirroring the hook on the rate functions).
     """
-    samples = vector_channel_samples(cfg, stats, seed, count)
-    qualities = (
-        mmse_quality(stats.sigma_sd, cfg.delta_s, cfg.m, cfg.p_s, stats.n0),
-        mmse_quality(stats.sigma_sr, cfg.delta_s, cfg.m, cfg.p_s, stats.n0),
-        mmse_quality(stats.sigma_rd, cfg.delta_r, cfg.m, cfg.p_r, stats.n0),
-    )
-    ex_s, ex_r, ez_r, ez_d, ez_dr = _noise_moments(cfg, stats, qualities)
-    worst = 0.0
-    for sample in samples:
-        snr_sd = gain_scale * ex_s * abs(sample.h_hat_sd) ** 2 / ez_d
-        snr_sr = gain_scale * ex_s * abs(sample.h_hat_sr) ** 2 / ez_r
-        snr_rd = gain_scale * ex_r * abs(sample.h_hat_rd) ** 2 / ez_dr
-        scalar = math.log1p(snr_sd + f_combiner(snr_sr, snr_rd))
-        matrix = logdet_integrand(sample, ex_s)
-        gap = abs(matrix - scalar) / max(abs(scalar), 1e-300)
-        worst = max(worst, gap)
-    return worst
+    (h_sd, h_sr, h_rd), _, a, cov, (ex_s, ex_r, ez_r, ez_d, ez_dr) = _vector_channel(
+        cfg, stats, seed, count)
+    snr_sd = gain_scale * ex_s * np.abs(h_sd) ** 2 / ez_d
+    snr_sr = gain_scale * ex_s * np.abs(h_sr) ** 2 / ez_r
+    snr_rd = gain_scale * ex_r * np.abs(h_rd) ** 2 / ez_dr
+    scalar = np.log1p(snr_sd + f_combiner(snr_sr, snr_rd))
+    matrix = _logdet(ex_s, a, cov)
+    return float(np.max(np.abs(matrix - scalar) / np.maximum(np.abs(scalar), 1e-300),
+                        initial=0.0))
 
 
 def grid_argmax(objective, lo: float, hi: float, step: float) -> AllocationResult:
@@ -236,12 +206,7 @@ def grid_argmax(objective, lo: float, hi: float, step: float) -> AllocationResul
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if not (0.0 < step <= (hi - lo) / 10.0):
         raise ValueError(f"step must be in (0, (hi-lo)/10], got {step}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    grid = [round(lo + i * step, 12) for i in range(count)]
-    if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
-        grid.append(hi)
-    else:
-        grid[-1] = hi
+    grid = closed_grid(lo, hi, step)
 
     values = np.array([float(objective(x)) for x in grid])
     if not np.all(np.isfinite(values)):

@@ -1,22 +1,29 @@
 """Worst-case achievable rates of the pilot-trained relay link.
 
-All three schemes reduce to expectations of ``log(1 + ...)`` over the squared
-magnitudes of normalized fading estimates, which are independent
-exponential(1) variables. The expectation engine is deterministic: Monte
-Carlo draws come from counter-based Philox streams keyed by (seed, role), so
-identical seeds give identical draws for every scheme and every power split
-(common random numbers), independent of any parallelism in the caller.
-Gauss-Laguerre quadrature (whose weight is exactly the exponential density)
-is available for 1-D and 2-D expectations as a high-accuracy alternative.
+Every rate is an expectation of ``log(1 + SNR)`` over the squared magnitudes
+of normalized fading estimates: independent exponential(1) variables, each
+scaled by its link's gain coefficient. One engine, ``_expectation``,
+evaluates all of them: it draws (or places Gauss-Laguerre nodes for) ``c*X``
+per link, applies the scheme's integrand over the gains and checks that the
+mean is finite and lies within the sampled values. AF integrates
+log(1 + g_sd + f(g_sr, g_rd)); both DF schemes take the min of the relay
+decoding term log(1 + g_sr) and a combining term.
+
+Monte Carlo draws come from counter-based Philox streams keyed by
+(seed, role), so identical seeds give identical draws for every scheme and
+every power split (common random numbers), independent of any parallelism
+in the caller. Quadrature (whose weight is exactly the exponential density)
+covers 1-D and 2-D expectations. The module also holds what the optimizer
+and the oracles share: ``RATE_FN``, ``closed_grid`` and the search result.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +38,10 @@ W_RD = 2
 # Keys used in RateEstimate.parts for the two decode-and-forward constraints.
 RELAY_DECODING = "relay_decoding"
 COMBINING = "combining"
+
+# numpy's Gauss-Laguerre rule overflows (NaN weights) from 187 nodes on.
+MAX_NODES = 186
+MAX_GRID_POINTS = 1_000_000
 
 
 class Method(enum.Enum):
@@ -68,8 +79,8 @@ class ExpectationSpec:
             raise ValueError("Gauss-Laguerre quadrature supports dims <= 2 only")
         if self.method is Method.CLOSED_FORM:
             raise ValueError("CLOSED_FORM tags results; it is not an expectation method")
-        if self.nodes < 8:
-            raise ValueError(f"nodes must be >= 8, got {self.nodes}")
+        if not 8 <= self.nodes <= MAX_NODES:
+            raise ValueError(f"nodes must lie in [8, {MAX_NODES}], got {self.nodes}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +113,44 @@ class RateEstimate:
         return min(self.parts, key=lambda k: self.parts[k].value)
 
 
+class SearchMethod(enum.Enum):
+    GRID = "grid"
+
+
+@dataclass(frozen=True)
+class AllocationResult:
+    """Outcome of a scalar resource search: argument, value and bookkeeping."""
+
+    argument: float
+    rate: RateEstimate
+    method: SearchMethod
+    evaluations: int
+
+
+def closed_grid(lo: float, hi: float, step: float) -> list[float]:
+    """Grid lo, lo+step, ..., hi with both endpoints present exactly.
+
+    Interior points are rounded to 10 decimals so decimal steps give clean
+    values. The point count is checked against ``MAX_GRID_POINTS`` before
+    any point is built.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"step {step} asks for {count} points on [{lo}, {hi}]; "
+                         f"at most {MAX_GRID_POINTS} are allowed")
+    grid = [round(lo + i * step, 10) for i in range(count)]
+    grid[0] = lo
+    if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
+        grid.append(hi)
+    else:
+        grid[-1] = hi
+    return grid
+
+
 def stream(seed: int, tag: int) -> np.random.Generator:
     """Counter-based generator for one (seed, role) pair."""
     key = np.array([seed, tag], dtype=np.uint64)
@@ -118,50 +167,68 @@ def exp_draws(seed: int, tag: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x, w = np.polynomial.laguerre.laggauss(nodes)
-    return x, w
+    return x, w, np.outer(w, w)
 
 
-def expect_over_exponentials(
-    integrand: Callable[..., np.ndarray],
-    spec: ExpectationSpec,
-    *,
-    tags: tuple[int, ...] | None = None,
-) -> tuple[float, float]:
+def _expectation(integrand: Callable[..., np.ndarray], coefficients: Sequence[float],
+                 tags: Sequence[int], spec: ExpectationSpec) -> tuple[float, float]:
+    """Mean and standard error of ``integrand(c_1 X_1, ..., c_k X_k)``.
+
+    The X_i are independent exponential(1) variables: Monte Carlo draws
+    X_i from stream ``tags[i]`` (scaled as it is drawn); Gauss-Laguerre
+    (k <= 2) evaluates the tensor rule. The mean must be finite and lie
+    within the sampled values.
+    """
+    if spec.method is Method.MONTE_CARLO:
+        n = spec.samples
+        values = np.asarray(integrand(*[c * exp_draws(spec.seed, tag, n)
+                                        for c, tag in zip(coefficients, tags)]), dtype=float)
+        if values.shape != (n,):
+            raise ValueError("integrand must map (n,) arrays to an (n,) array")
+        mean = float(values.mean())
+        std_error = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    else:
+        x, w, w2 = _laguerre_rule(spec.nodes)
+        if len(coefficients) == 1:
+            values = np.asarray(integrand(coefficients[0] * x), dtype=float)
+            mean = float(np.sum(w * values))
+        else:
+            shape = w2.shape
+            c_i, c_j = coefficients
+            values = np.asarray(integrand(np.broadcast_to(c_i * x[:, None], shape),
+                                          np.broadcast_to(c_j * x[None, :], shape)), dtype=float)
+            mean = float(np.sum(w2 * values))
+        std_error = 0.0
+    lo, hi = float(np.min(values)), float(np.max(values))
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    if not (math.isfinite(mean) and lo - slack <= mean <= hi + slack):
+        raise ArithmeticError(f"mean {mean} lies outside the sampled range [{lo}, {hi}]")
+    return mean, std_error
+
+
+def expect_over_exponentials(integrand: Callable[..., np.ndarray], spec: ExpectationSpec, *,
+                             tags: tuple[int, ...] | None = None) -> tuple[float, float]:
     """Mean and standard error of ``integrand`` over exponential(1) inputs.
 
     The integrand receives ``spec.dims`` arrays and must evaluate
     elementwise. ``tags`` picks the Monte Carlo stream for each argument
     (defaults to 0..dims-1); quadrature ignores it.
     """
-    if tags is not None and len(tags) != spec.dims:
+    if tags is None:
+        tags = tuple(range(spec.dims))
+    elif len(tags) != spec.dims:
         raise ValueError(f"expected {spec.dims} stream tags, got {len(tags)}")
+    return _expectation(integrand, (1.0,) * spec.dims, tags, spec)
 
-    if spec.method is Method.MONTE_CARLO:
-        if tags is None:
-            tags = tuple(range(spec.dims))
-        xs = [exp_draws(spec.seed, tag, spec.samples) for tag in tags]
-        values = np.asarray(integrand(*xs), dtype=float)
-        if values.shape != (spec.samples,):
-            raise ValueError("integrand must map (n,) arrays to an (n,) array")
-        mean = float(values.mean())
-        if spec.samples > 1:
-            std_error = float(values.std(ddof=1) / math.sqrt(spec.samples))
-        else:
-            std_error = 0.0
-        return mean, std_error
 
-    x, w = _laguerre_rule(spec.nodes)
-    if spec.dims == 1:
-        mean = float(np.sum(w * np.asarray(integrand(x), dtype=float)))
-    else:
-        xi = x[:, None]
-        xj = x[None, :]
-        values = np.asarray(integrand(np.broadcast_to(xi, (spec.nodes,) * 2),
-                                      np.broadcast_to(xj, (spec.nodes,) * 2)), dtype=float)
-        mean = float(w @ values @ w)
-    return mean, 0.0
+def _gain_coefficient(a, b, c, n0, m):
+    # Coefficient of |w|^2 in the per-link SNR gain; ``a`` may be an array.
+    c2 = c * c
+    num = 2.0 * a * (1.0 - a) * m * m * b * b * c2 * c2
+    den = 2.0 * (1.0 - a) * m * b * c2 * n0 + (m - 2.0) * (c2 * a * m * b + n0) * n0
+    return num / den
 
 
 def snr_gain_g(a: float, b: float, c: float, n0: float, m: int, w_sq) -> np.ndarray | float:
@@ -188,11 +255,7 @@ def snr_gain_g(a: float, b: float, c: float, n0: float, m: int, w_sq) -> np.ndar
     w_sq = np.asarray(w_sq, dtype=float)
     if np.any(w_sq < 0.0):
         raise ValueError("w_sq must be nonnegative")
-
-    c2 = c * c
-    num = 2.0 * a * (1.0 - a) * m * m * b * b * c2 * c2
-    den = 2.0 * (1.0 - a) * m * b * c2 * n0 + (m - 2.0) * (c2 * a * m * b + n0) * n0
-    out = (num / den) * w_sq
+    out = _gain_coefficient(a, b, c, n0, m) * w_sq
     return float(out) if out.ndim == 0 else out
 
 
@@ -206,35 +269,6 @@ def f_combiner(x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def _prefactor(m: int) -> float:
-    # two pilot symbols plus half-duplex halving
-    return (m - 2.0) / (2.0 * m)
-
-
-def _check_bounds(value: float, log_values: np.ndarray, prefactor: float) -> None:
-    # Sanity bound per evaluation: the mean of log(1+g) cannot exceed its
-    # largest sampled value, and everything must be finite.
-    peak = float(np.max(log_values))
-    if not (np.isfinite(peak) and 0.0 <= value <= prefactor * peak + 1e-12):
-        raise ArithmeticError(
-            f"rate {value} violates the [0, {prefactor * peak}] sanity bound"
-        )
-
-
-def _rate_from_logs(log_values: np.ndarray, m: int, spec: ExpectationSpec,
-                    weights: np.ndarray | None = None) -> RateEstimate:
-    pref = _prefactor(m)
-    if weights is None:
-        mean = float(log_values.mean())
-        se = float(log_values.std(ddof=1) / math.sqrt(log_values.size)) if log_values.size > 1 else 0.0
-        est = RateEstimate(pref * mean, pref * se, spec.samples, Method.MONTE_CARLO)
-    else:
-        mean = float(np.sum(weights * log_values))
-        est = RateEstimate(pref * mean, 0.0, 0, Method.GAUSS_LAGUERRE)
-    _check_bounds(est.value, log_values, pref)
-    return est
-
-
 def _gains(cfg: SystemConfig, stats: ChannelStats, gain_scale: float):
     """Per-link closed-form g evaluated at |w|^2 = 1 (coefficients)."""
     g_sd = snr_gain_g(cfg.delta_s, cfg.p_s, stats.sigma_sd, stats.n0, cfg.m, 1.0)
@@ -243,11 +277,23 @@ def _gains(cfg: SystemConfig, stats: ChannelStats, gain_scale: float):
     return g_sd * gain_scale, g_sr * gain_scale, g_rd * gain_scale
 
 
+def _rate(integrand, coefficients, tags, m: int, spec: ExpectationSpec) -> RateEstimate:
+    # two pilot symbols plus half-duplex halving
+    prefactor = (m - 2.0) / (2.0 * m)
+    mean, std_error = _expectation(integrand, coefficients, tags, spec)
+    samples = spec.samples if spec.method is Method.MONTE_CARLO else 0
+    return RateEstimate(prefactor * mean, prefactor * std_error, samples, spec.method)
+
+
 def _require(cfg: SystemConfig, spec: ExpectationSpec, scheme: Scheme) -> None:
     if cfg.scheme is not scheme:
         raise ValueError(f"config scheme is {cfg.scheme}, expected {scheme}")
     if spec.method is Method.MONTE_CARLO and spec.dims != 3:
         raise ValueError("rate evaluation integrates over three fading magnitudes; use dims=3")
+    if spec.method is Method.GAUSS_LAGUERRE and scheme is Scheme.AF:
+        raise ValueError("af_rate requires Monte Carlo (3-D expectation)")
+    if spec.method is Method.GAUSS_LAGUERRE and spec.dims != 2:
+        raise ValueError("quadrature DF evaluation is 2-D; use dims=2")
 
 
 def af_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec,
@@ -261,24 +307,20 @@ def af_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec,
     a fault-injection hook for the verification harness.
     """
     _require(cfg, spec, Scheme.AF)
-    if spec.method is not Method.MONTE_CARLO:
-        raise ValueError("af_rate requires Monte Carlo (3-D expectation)")
+    return _rate(lambda g_sd, g_sr, g_rd: np.log1p(g_sd + f_combiner(g_sr, g_rd)),
+                 _gains(cfg, stats, gain_scale), (W_SD, W_SR, W_RD), cfg.m, spec)
+
+
+def _df_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec,
+             gain_scale: float, scheme: Scheme, combining) -> RateEstimate:
+    """min of the relay-decoding and combining rates, both kept in ``parts``."""
+    _require(cfg, spec, scheme)
     c_sd, c_sr, c_rd = _gains(cfg, stats, gain_scale)
-    g_sd = c_sd * exp_draws(spec.seed, W_SD, spec.samples)
-    g_sr = c_sr * exp_draws(spec.seed, W_SR, spec.samples)
-    g_rd = c_rd * exp_draws(spec.seed, W_RD, spec.samples)
-    logs = np.log1p(g_sd + f_combiner(g_sr, g_rd))
-    return _rate_from_logs(logs, cfg.m, spec)
-
-
-def _relay_decoding_rate(cfg, stats, spec, gain_scale) -> RateEstimate:
-    """Source-to-relay decoding constraint, a 1-D expectation."""
-    _, c_sr, _ = _gains(cfg, stats, gain_scale)
-    if spec.method is Method.MONTE_CARLO:
-        logs = np.log1p(c_sr * exp_draws(spec.seed, W_SR, spec.samples))
-        return _rate_from_logs(logs, cfg.m, spec)
-    x, w = _laguerre_rule(spec.nodes)
-    return _rate_from_logs(np.log1p(c_sr * x), cfg.m, spec, weights=w)
+    parts = {
+        RELAY_DECODING: _rate(np.log1p, (c_sr,), (W_SR,), cfg.m, spec),
+        COMBINING: _rate(combining, (c_sd, c_rd), (W_SD, W_RD), cfg.m, spec),
+    }
+    return replace(min(parts.values(), key=lambda r: r.value), parts=parts)
 
 
 def df_repetition_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec,
@@ -288,20 +330,8 @@ def df_repetition_rate(cfg: SystemConfig, stats: ChannelStats, spec: Expectation
     min of the relay-decoding rate and the destination rate
     (m-2)/(2m) * E[ log(1 + g_sd + g_rd) ]; both appear in ``parts``.
     """
-    _require(cfg, spec, Scheme.DF_REPETITION)
-    if spec.method is Method.GAUSS_LAGUERRE and spec.dims != 2:
-        raise ValueError("quadrature DF evaluation is 2-D; use dims=2")
-    c_sd, _, c_rd = _gains(cfg, stats, gain_scale)
-    i_relay = _relay_decoding_rate(cfg, stats, spec, gain_scale)
-    if spec.method is Method.MONTE_CARLO:
-        g_sd = c_sd * exp_draws(spec.seed, W_SD, spec.samples)
-        g_rd = c_rd * exp_draws(spec.seed, W_RD, spec.samples)
-        i_combine = _rate_from_logs(np.log1p(g_sd + g_rd), cfg.m, spec)
-    else:
-        x, w = _laguerre_rule(spec.nodes)
-        logs = np.log1p(c_sd * x[:, None] + c_rd * x[None, :])
-        i_combine = _rate_from_logs(logs, cfg.m, spec, weights=np.outer(w, w))
-    return _min_rate(i_relay, i_combine, spec)
+    return _df_rate(cfg, stats, spec, gain_scale, Scheme.DF_REPETITION,
+                    lambda g_sd, g_rd: np.log1p(g_sd + g_rd))
 
 
 def df_parallel_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec,
@@ -309,35 +339,15 @@ def df_parallel_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSp
     """Decode-and-forward rate with an independent relay codeword.
 
     The destination constraint becomes
-    (m-2)/(2m) * E[ log(1 + g_sd) + log(1 + g_rd) ], which factors into two
-    1-D expectations. Dominates the repetition scheme sample by sample,
-    since (1 + x)(1 + y) >= 1 + x + y.
+    (m-2)/(2m) * E[ log(1 + g_sd) + log(1 + g_rd) ]. Dominates the
+    repetition scheme sample by sample, since (1 + x)(1 + y) >= 1 + x + y.
     """
-    _require(cfg, spec, Scheme.DF_PARALLEL)
-    if spec.method is Method.GAUSS_LAGUERRE and spec.dims != 2:
-        raise ValueError("quadrature DF evaluation is 2-D; use dims=2")
-    c_sd, _, c_rd = _gains(cfg, stats, gain_scale)
-    i_relay = _relay_decoding_rate(cfg, stats, spec, gain_scale)
-    if spec.method is Method.MONTE_CARLO:
-        g_sd = c_sd * exp_draws(spec.seed, W_SD, spec.samples)
-        g_rd = c_rd * exp_draws(spec.seed, W_RD, spec.samples)
-        logs = np.log1p(g_sd) + np.log1p(g_rd)
-        i_combine = _rate_from_logs(logs, cfg.m, spec)
-    else:
-        x, w = _laguerre_rule(spec.nodes)
-        mean = float(np.sum(w * np.log1p(c_sd * x)) + np.sum(w * np.log1p(c_rd * x)))
-        i_combine = RateEstimate(_prefactor(cfg.m) * mean, 0.0, 0, Method.GAUSS_LAGUERRE)
-    return _min_rate(i_relay, i_combine, spec)
+    return _df_rate(cfg, stats, spec, gain_scale, Scheme.DF_PARALLEL,
+                    lambda g_sd, g_rd: np.log1p(g_sd) + np.log1p(g_rd))
 
 
-def _min_rate(i_relay: RateEstimate, i_combine: RateEstimate,
-              spec: ExpectationSpec) -> RateEstimate:
-    parts = {RELAY_DECODING: i_relay, COMBINING: i_combine}
-    bound = min(parts.values(), key=lambda r: r.value)
-    return RateEstimate(
-        value=bound.value,
-        std_error=bound.std_error,
-        samples=bound.samples,
-        method=bound.method,
-        parts=parts,
-    )
+RATE_FN = {
+    Scheme.AF: af_rate,
+    Scheme.DF_REPETITION: df_repetition_rate,
+    Scheme.DF_PARALLEL: df_parallel_rate,
+}

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -80,11 +81,17 @@ class TestRateCommand:
         assert excinfo.value.code == 2
 
     def test_semantic_validation_is_single_line_error(self, capsys):
-        code, _, err = run(capsys, "rate", "--scheme", "af", "--m", "50",
-                           "--ps", "60", "--pr", "40", "--delta-s", "0.1",
-                           "--delta-r", "0.1", "--sigma", "1,4,-4")
-        assert code == 1
-        assert err.startswith("error:") and err.count("\n") == 1
+        common = ["rate", "--scheme", "af", "--m", "50", "--delta-s", "0.1", "--delta-r", "0.1"]
+        cases = [
+            (["--ps", "60", "--pr", "40", "--sigma", "1,4,-4"], None),
+            (["--p", "100", "--theta", "1.5", "--sigma", "1,4,4"], "theta"),
+        ]
+        for extra, named in cases:
+            code, _, err = run(capsys, *common, *extra)
+            assert code == 1
+            assert err.startswith("error:") and err.count("\n") == 1
+            if named is not None:
+                assert named in err
 
 
 class TestSweepTheta:
@@ -146,6 +153,26 @@ class TestSweepTheta:
                            "--m", "49", "--sigma", "1,4,4", "--delta-s", "0.1",
                            "--delta-r", "0.1", "--samples", "100", "--out", str(target))
         assert code == 1 and not target.exists()
+
+    def test_grid_budget_fails_before_any_point_is_built(self, tmp_path, capsys, monkeypatch):
+        # a 1e-9 step asks for 10^9 + 1 grid points; the budget check must
+        # reject it before the grid builder computes a single point
+        def no_points(*args):
+            raise AssertionError("grid points were built")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "relayrates":
+                monkeypatch.setattr(module, "round", no_points, raising=False)
+        for argv in (["sweep-theta", "--scheme", "af", "--p", "100", "--m", "50",
+                      "--sigma", "1,4,4", "--delta-s", "0.1", "--delta-r", "0.1",
+                      "--theta-step", "1e-9"],
+                     ["sweep-sigma-rd", "--m", "50", "--pr", "10", "--lo", "0.5",
+                      "--hi", "1.5", "--step", "1e-9"]):
+            out = tmp_path / "fine.csv"
+            code, _, err = run(capsys, *argv, "--out", str(out))
+            assert code == 1
+            assert err.startswith("error: step 1e-09") and err.count("\n") == 1
+            assert not out.exists()
 
 
 class TestSweepSigmaRd:

@@ -49,6 +49,8 @@ class TestClosedGrid:
     def test_partial_last_step_appends_endpoint(self):
         grid = closed_grid(0.5, 5.0, 0.7)
         assert grid[0] == 0.5 and grid[-1] == 5.0
+        grid = closed_grid(0.123456789012, 1.0, 0.1)
+        assert grid[0] == 0.123456789012 and grid[-1] == 1.0
 
 
 class TestOptimalDeltaR:

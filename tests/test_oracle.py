@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relayrates
 from relayrates import (
     ChannelStats,
     ExpectationSpec,
@@ -12,6 +15,7 @@ from relayrates import (
     SystemConfig,
     af_rate,
     af_rate_logdet,
+    data_symbol_energy,
     expect_over_exponentials,
     grid_argmax,
     logdet_integrand,
@@ -130,6 +134,26 @@ class TestLogdetOracle:
             assert sample.beta >= 0.0
             assert logdet_integrand(sample, 1.0) >= 0.0
 
+    def test_batched_samples_match_per_draw_construction(self):
+        # reference: beta, A and B D B^H built draw by draw from the estimates
+        cfg, stats = _cfg(), ChannelStats(1.0, 4.0, 4.0, 1.0)
+        q_sd = mmse_quality(stats.sigma_sd, cfg.delta_s, cfg.m, cfg.p_s, stats.n0)
+        q_sr = mmse_quality(stats.sigma_sr, cfg.delta_s, cfg.m, cfg.p_s, stats.n0)
+        q_rd = mmse_quality(stats.sigma_rd, cfg.delta_r, cfg.m, cfg.p_r, stats.n0)
+        ex_s = data_symbol_energy(cfg.delta_s, cfg.m, cfg.p_s)
+        ex_r = data_symbol_energy(cfg.delta_r, cfg.m, cfg.p_r)
+        noise = np.diag([q_sr.var_error * ex_s + stats.n0, q_sd.var_error * ex_s + stats.n0,
+                         q_rd.var_error * ex_r + stats.n0])
+        for sample in vector_channel_samples(cfg, stats, seed=62, count=20):
+            beta = math.sqrt(ex_r / (abs(sample.h_hat_sr) ** 2 * ex_s + noise[0, 0]))
+            relayed = sample.h_hat_rd * beta
+            b_mat = np.array([[0.0, 1.0, 0.0], [relayed, 0.0, 1.0]])
+            assert sample.beta == pytest.approx(beta, rel=1e-14)
+            np.testing.assert_allclose(sample.a_vec, [sample.h_hat_sd, relayed * sample.h_hat_sr],
+                                       rtol=1e-14)
+            np.testing.assert_allclose(sample.noise_cov, b_mat @ noise @ b_mat.conj().T,
+                                       rtol=1e-14, atol=1e-14)
+
 
 class TestGridArgmax:
     def test_constant_ties_to_left_endpoint(self):
@@ -176,3 +200,23 @@ class TestGridArgmax:
     def test_non_finite_objective_aborts(self):
         with pytest.raises(ArithmeticError):
             grid_argmax(lambda x: math.inf if x > 0.5 else 0.0, 0.0, 1.0, 0.1)
+
+
+def _imported_modules(module: str) -> set[str]:
+    """Last name component of every module a package source file imports."""
+    tree = ast.parse((Path(relayrates.__file__).parent / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+            names.update(alias.name for alias in node.names)  # from . import optimize
+    return names
+
+
+def test_oracle_and_optimizer_do_not_import_each_other():
+    # the oracle checks the optimizer, so it must not share code with it
+    assert "optimize" not in _imported_modules("oracle")
+    assert "oracle" not in _imported_modules("optimize")

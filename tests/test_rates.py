@@ -25,6 +25,7 @@ from relayrates import (
     mmse_quality,
     snr_gain_g,
 )
+from relayrates.rates import MAX_NODES
 
 # E[ln(1 + x)] for x ~ Exp(1), frozen from e * E1(1) (scipy.special.exp1);
 # re-derived against scipy in test_reference_value_matches_exp1 below.
@@ -158,6 +159,12 @@ class TestExpectationEngine:
             ExpectationSpec(dims=1, nodes=4)
         with pytest.raises(ValueError):
             ExpectationSpec(dims=1, seed=-1)
+        # the largest accepted rule is clean; one node more and numpy's rule
+        # overflows into NaN weights
+        with pytest.raises(ValueError, match="nodes"):
+            ExpectationSpec(dims=1, method=Method.GAUSS_LAGUERRE, nodes=MAX_NODES + 1)
+        spec = ExpectationSpec(dims=1, method=Method.GAUSS_LAGUERRE, nodes=MAX_NODES)
+        assert abs(expect_over_exponentials(np.log1p, spec)[0] - LOG1P_EXP_MEAN) <= 1e-6
 
 
 class TestAfRate:
