@@ -45,7 +45,6 @@ from .rates import (
     ExpectationSpec,
     Method,
     RateEstimate,
-    SearchMethod,
     af_rate,
     closed_grid,
     df_parallel_rate,
@@ -69,7 +68,6 @@ __all__ = [
     "RELAY_DECODING",
     "RateEstimate",
     "Scheme",
-    "SearchMethod",
     "SystemConfig",
     "VectorChannelSample",
     "W_RD",

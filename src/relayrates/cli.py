@@ -61,6 +61,18 @@ THETA_CSV_HEADER = ["theta", "rate_nats", "std_error", "scheme", "sigma_sd", "si
                     "sigma_rd", "P", "m", "delta_s", "delta_r", "seed"]
 SIGMA_RD_CSV_HEADER = ["sigma_rd", "delta_r_opt", "P_r", "m"]
 
+# verify's cases, shared with the acceptance tests: AF configurations
+# (m, p_s, p_r, delta_s, delta_r, sigma triple, n0) for the log-det oracle,
+# and (m, snr) pairs for the closed-form relay training fraction.
+AF_ORACLE_CONFIGS = (
+    (50, 60.0, 40.0, 0.1, 0.1, (1.0, 4.0, 4.0), 1.0),
+    (50, 50.0, 50.0, 0.1, 0.1, (1.0, 2.0, 1.0), 1.0),
+    (50, 80.0, 20.0, 0.05, 0.3, (0.5, 5.0, 0.5), 1.0),
+    (10, 30.0, 70.0, 0.2, 0.2, (2.0, 1.0, 3.0), 2.0),
+    (100, 10.0, 90.0, 0.15, 0.05, (1.0, 10.0, 2.0), 0.5),
+)
+DELTA_R_CASES = tuple((m, snr) for m in (6, 10, 50, 200) for snr in (1e-2, 1.0, 1e2, 1e4, 1e6))
+
 
 @dataclass(frozen=True)
 class Preset:
@@ -302,10 +314,9 @@ def cmd_optimal_training(args) -> int:
         d1, d2 = suboptimal_delta_s(args.m, args.ps, stats)
         print(f"delta_s_via_direct={d1!r} delta_s_via_relay={d2!r} P_s={args.ps!r}")
     if args.global_delta:
-        if args.sigma is None or args.ps is None or args.scheme is None:
-            raise ValueError("--global-delta needs --scheme, --sigma and --ps")
+        if args.ps is None or args.scheme is None:
+            raise ValueError("--global-delta needs --scheme and --ps")
         scheme = _SCHEMES[args.scheme]
-        stats = ChannelStats(*args.sigma, n0=args.n0)
         spec = ExpectationSpec(dims=3, samples=args.samples, seed=args.seed)
 
         def full_rate(delta: float) -> float:
@@ -325,9 +336,10 @@ def _check(name: str, ok: bool, detail: str, lines: list[str]) -> bool:
 
 
 def cmd_verify(args) -> int:
-    samples = 10_000 if args.quick else args.samples
-    seed = args.seed
-    scale = 1.0 + args.perturb
+    samples, seed = args.samples, args.seed
+    # built first, so that --samples and --seed are checked before any allocation
+    specs = [ExpectationSpec(dims=3, samples=samples, seed=seed + i)
+             for i in range(len(AF_ORACLE_CONFIGS))]
     started = time.monotonic()
     lines: list[str] = []
     all_ok = True
@@ -347,35 +359,25 @@ def cmd_verify(args) -> int:
                      f"{len(combos) - bad}/{len(combos)} combos within 3 SE", lines)
 
     # 2. scalar rate vs. matrix log-det route, and the per-draw identity
-    configs = [
-        (50, 60.0, 40.0, 0.1, 0.1, (1.0, 4.0, 4.0), 1.0),
-        (50, 50.0, 50.0, 0.1, 0.1, (1.0, 2.0, 1.0), 1.0),
-        (50, 80.0, 20.0, 0.05, 0.3, (0.5, 5.0, 0.5), 1.0),
-        (10, 30.0, 70.0, 0.2, 0.2, (2.0, 1.0, 3.0), 2.0),
-        (100, 10.0, 90.0, 0.15, 0.05, (1.0, 10.0, 2.0), 0.5),
-    ]
     bad = 0
     worst_gap = 0.0
-    for i, (m, ps, pr, ds, dr, sigma, n0) in enumerate(configs):
+    for (m, ps, pr, ds, dr, sigma, n0), spec in zip(AF_ORACLE_CONFIGS, specs):
         stats = ChannelStats(*sigma, n0=n0)
         cfg = SystemConfig(m=m, p_s=ps, p_r=pr, delta_s=ds, delta_r=dr, scheme=Scheme.AF)
-        spec = ExpectationSpec(dims=3, samples=samples, seed=seed + i)
-        scalar = af_rate(cfg, stats, spec, gain_scale=scale)
+        scalar = af_rate(cfg, stats, spec)
         matrix = af_rate_logdet(cfg, stats, spec)
         tol = 3.0 * math.hypot(scalar.std_error, matrix.std_error)
         if abs(scalar.value - matrix.value) > tol:
             bad += 1
-        worst_gap = max(worst_gap,
-                        max_identity_gap(cfg, stats, seed + i, 200, gain_scale=scale))
+        worst_gap = max(worst_gap, max_identity_gap(cfg, stats, spec.seed, 200))
     all_ok &= _check("logdet-vs-scalar-af", bad == 0,
-                     f"{len(configs) - bad}/{len(configs)} configs within 3 SE", lines)
+                     f"{len(specs) - bad}/{len(specs)} configs within 3 SE", lines)
     all_ok &= _check("per-draw-identity", worst_gap <= 1e-9,
                      f"max relative gap {worst_gap:.3e}", lines)
 
     # 3. closed-form training fraction vs. brute-force grid search
     bad = 0
-    cases = [(m, snr) for m in (6, 10, 50, 200) for snr in (1e-2, 1.0, 1e2, 1e4, 1e6)]
-    for m, snr in cases:
+    for m, snr in DELTA_R_CASES:
         closed = optimal_delta_r(m, snr, 1.0, 1.0)
         gridded = grid_argmax(
             lambda a, m=m, snr=snr: float(snr_gain_g_coefficient(a, snr, 1.0, 1.0, m)),
@@ -384,13 +386,13 @@ def cmd_verify(args) -> int:
         if abs(closed - gridded.argument) > 1e-3:
             bad += 1
     all_ok &= _check("delta-r-closed-vs-grid", bad == 0,
-                     f"{len(cases) - bad}/{len(cases)} cases within 1e-3", lines)
+                     f"{len(DELTA_R_CASES) - bad}/{len(DELTA_R_CASES)} cases within 1e-3", lines)
 
     print(f"{'status':<7}{'check':<35}detail")
     for line in lines:
         print(line)
     print(f"verify {'passed' if all_ok else 'FAILED'} in {time.monotonic() - started:.1f}s "
-          f"(samples={samples}, seed={seed}, perturb={args.perturb!r})")
+          f"(samples={samples}, seed={seed})")
     return 0 if all_ok else 1
 
 
@@ -456,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srd.add_argument("--step", type=float)
     p_srd.add_argument("--n0", type=float)
     p_srd.add_argument("--out", required=True)
-    add_common(p_srd)
+    p_srd.add_argument("--config", help="key=value defaults file; explicit flags win")
     p_srd.set_defaults(func=cmd_sweep_sigma_rd)
 
     p_opt = sub.add_parser("optimal-training", help="closed-form training fractions")
@@ -470,16 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--global-delta", action="store_true",
                        help="also grid-search delta_r against the full rate")
     p_opt.add_argument("--scheme", choices=sorted(_SCHEMES))
-    p_opt.add_argument("--sigma", type=_parse_sigma)
     p_opt.add_argument("--delta-s", type=float, default=0.1)
     p_opt.add_argument("--delta-step", type=float, default=0.01)
     add_common(p_opt)
     p_opt.set_defaults(func=cmd_optimal_training)
 
     p_verify = sub.add_parser("verify", help="run the oracle cross-check suite")
-    p_verify.add_argument("--quick", action="store_true", help="10^4 samples")
-    p_verify.add_argument("--perturb", type=float, default=0.0,
-                          help="scale the closed-form gains by 1+x (harness self-test)")
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -21,7 +21,6 @@ from .rates import (
     AllocationResult,
     ExpectationSpec,
     RateEstimate,
-    SearchMethod,
     _gain_coefficient,
     closed_grid,
 )
@@ -153,8 +152,7 @@ def optimize_theta(total_power: float, stats: ChannelStats, m: int, delta_s: flo
     curve = theta_sweep(total_power, stats, m, delta_s, delta_r, scheme, spec,
                         grid_step=grid_step, workers=workers)
     best_theta, best_rate = max(curve, key=lambda point: (point[1].value, -point[0]))
-    return AllocationResult(argument=best_theta, rate=best_rate,
-                            method=SearchMethod.GRID, evaluations=len(curve))
+    return AllocationResult(argument=best_theta, rate=best_rate, evaluations=len(curve))
 
 
 def joint_allocation(total_power: float, stats: ChannelStats, m: int, scheme: Scheme,

@@ -21,7 +21,6 @@ from .rates import (
     ExpectationSpec,
     Method,
     RateEstimate,
-    SearchMethod,
     closed_grid,
     f_combiner,
     stream,
@@ -174,22 +173,19 @@ def af_rate_logdet(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec
     return RateEstimate(pref * mean, pref * se, n, Method.MONTE_CARLO)
 
 
-def max_identity_gap(cfg: SystemConfig, stats: ChannelStats, seed: int, count: int,
-                     *, gain_scale: float = 1.0) -> float:
+def max_identity_gap(cfg: SystemConfig, stats: ChannelStats, seed: int, count: int) -> float:
     """Largest relative gap between the log-det integrand and its scalar form.
 
     For every draw, log det(I + E|x_s|^2 A A^H Cov^-1) must equal
     log(1 + SNR_sd + f(SNR_sr, SNR_rd)) with the per-link SNR ratios built
     from the same estimate draws. The gap is pure floating-point noise; it
     does not shrink with averaging, so a handful of draws suffices.
-    ``gain_scale`` multiplies the scalar-side SNRs (verify-harness fault
-    injection, mirroring the hook on the rate functions).
     """
     (h_sd, h_sr, h_rd), _, a, cov, (ex_s, ex_r, ez_r, ez_d, ez_dr) = _vector_channel(
         cfg, stats, seed, count)
-    snr_sd = gain_scale * ex_s * np.abs(h_sd) ** 2 / ez_d
-    snr_sr = gain_scale * ex_s * np.abs(h_sr) ** 2 / ez_r
-    snr_rd = gain_scale * ex_r * np.abs(h_rd) ** 2 / ez_dr
+    snr_sd = ex_s * np.abs(h_sd) ** 2 / ez_d
+    snr_sr = ex_s * np.abs(h_sr) ** 2 / ez_r
+    snr_rd = ex_r * np.abs(h_rd) ** 2 / ez_dr
     scalar = np.log1p(snr_sd + f_combiner(snr_sr, snr_rd))
     matrix = _logdet(ex_s, a, cov)
     return float(np.max(np.abs(matrix - scalar) / np.maximum(np.abs(scalar), 1e-300),
@@ -214,5 +210,4 @@ def grid_argmax(objective, lo: float, hi: float, step: float) -> AllocationResul
         raise ArithmeticError(f"objective is non-finite at {bad}")
     best = int(np.argmax(values))
     estimate = RateEstimate(float(values[best]), 0.0, 0, Method.CLOSED_FORM)
-    return AllocationResult(argument=float(grid[best]), rate=estimate,
-                            method=SearchMethod.GRID, evaluations=len(grid))
+    return AllocationResult(argument=float(grid[best]), rate=estimate, evaluations=len(grid))

@@ -41,6 +41,8 @@ COMBINING = "combining"
 
 # numpy's Gauss-Laguerre rule overflows (NaN weights) from 187 nodes on.
 MAX_NODES = 186
+# A 3-D Monte Carlo call holds a few float64 arrays of this length at once.
+MAX_SAMPLES = 10**7
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -71,8 +73,8 @@ class ExpectationSpec:
     def __post_init__(self) -> None:
         if self.dims not in (1, 2, 3):
             raise ValueError(f"dims must be 1, 2 or 3, got {self.dims}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be positive, got {self.samples}")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}], got {self.samples}")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
         if self.method is Method.GAUSS_LAGUERRE and self.dims > 2:
@@ -113,17 +115,12 @@ class RateEstimate:
         return min(self.parts, key=lambda k: self.parts[k].value)
 
 
-class SearchMethod(enum.Enum):
-    GRID = "grid"
-
-
 @dataclass(frozen=True)
 class AllocationResult:
-    """Outcome of a scalar resource search: argument, value and bookkeeping."""
+    """Outcome of a grid search: argument, value and number of evaluations."""
 
     argument: float
     rate: RateEstimate
-    method: SearchMethod
     evaluations: int
 
 
@@ -208,19 +205,14 @@ def _expectation(integrand: Callable[..., np.ndarray], coefficients: Sequence[fl
     return mean, std_error
 
 
-def expect_over_exponentials(integrand: Callable[..., np.ndarray], spec: ExpectationSpec, *,
-                             tags: tuple[int, ...] | None = None) -> tuple[float, float]:
+def expect_over_exponentials(integrand: Callable[..., np.ndarray],
+                             spec: ExpectationSpec) -> tuple[float, float]:
     """Mean and standard error of ``integrand`` over exponential(1) inputs.
 
     The integrand receives ``spec.dims`` arrays and must evaluate
-    elementwise. ``tags`` picks the Monte Carlo stream for each argument
-    (defaults to 0..dims-1); quadrature ignores it.
+    elementwise. Under Monte Carlo, argument i is drawn from stream i.
     """
-    if tags is None:
-        tags = tuple(range(spec.dims))
-    elif len(tags) != spec.dims:
-        raise ValueError(f"expected {spec.dims} stream tags, got {len(tags)}")
-    return _expectation(integrand, (1.0,) * spec.dims, tags, spec)
+    return _expectation(integrand, (1.0,) * spec.dims, range(spec.dims), spec)
 
 
 def _gain_coefficient(a, b, c, n0, m):
@@ -260,21 +252,24 @@ def snr_gain_g(a: float, b: float, c: float, n0: float, m: int, w_sq) -> np.ndar
 
 
 def f_combiner(x, y):
-    """End-to-end SNR of a two-hop amplified link: x*y / (1 + x + y)."""
+    """End-to-end SNR of a two-hop amplified link: x*y / (1 + (x + y)).
+
+    ``x + y`` is summed first so that the result is symmetric in its
+    arguments bit for bit.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(x < 0.0) or np.any(y < 0.0):
         raise ValueError("f_combiner arguments must be nonnegative")
-    out = x * y / (1.0 + x + y)
+    out = x * y / (1.0 + (x + y))
     return float(out) if out.ndim == 0 else out
 
 
-def _gains(cfg: SystemConfig, stats: ChannelStats, gain_scale: float):
-    """Per-link closed-form g evaluated at |w|^2 = 1 (coefficients)."""
-    g_sd = snr_gain_g(cfg.delta_s, cfg.p_s, stats.sigma_sd, stats.n0, cfg.m, 1.0)
-    g_sr = snr_gain_g(cfg.delta_s, cfg.p_s, stats.sigma_sr, stats.n0, cfg.m, 1.0)
-    g_rd = snr_gain_g(cfg.delta_r, cfg.p_r, stats.sigma_rd, stats.n0, cfg.m, 1.0)
-    return g_sd * gain_scale, g_sr * gain_scale, g_rd * gain_scale
+def _gains(cfg: SystemConfig, stats: ChannelStats):
+    """Per-link gain coefficients (sd, sr, rd); the config and stats validated the inputs."""
+    return (_gain_coefficient(cfg.delta_s, cfg.p_s, stats.sigma_sd, stats.n0, cfg.m),
+            _gain_coefficient(cfg.delta_s, cfg.p_s, stats.sigma_sr, stats.n0, cfg.m),
+            _gain_coefficient(cfg.delta_r, cfg.p_r, stats.sigma_rd, stats.n0, cfg.m))
 
 
 def _rate(integrand, coefficients, tags, m: int, spec: ExpectationSpec) -> RateEstimate:
@@ -296,26 +291,24 @@ def _require(cfg: SystemConfig, spec: ExpectationSpec, scheme: Scheme) -> None:
         raise ValueError("quadrature DF evaluation is 2-D; use dims=2")
 
 
-def af_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec,
-            *, gain_scale: float = 1.0) -> RateEstimate:
+def af_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec) -> RateEstimate:
     """Worst-case amplify-and-forward rate.
 
     (m-2)/(2m) * E[ log(1 + g_sd + f(g_sr, g_rd)) ] over independent
     exponential draws of the three |w|^2 variables. Monte Carlo only; the
     3-D expectation has no quadrature route here (the matrix-form oracle is
-    the cross-check). ``gain_scale`` multiplies every g and exists purely as
-    a fault-injection hook for the verification harness.
+    the cross-check).
     """
     _require(cfg, spec, Scheme.AF)
     return _rate(lambda g_sd, g_sr, g_rd: np.log1p(g_sd + f_combiner(g_sr, g_rd)),
-                 _gains(cfg, stats, gain_scale), (W_SD, W_SR, W_RD), cfg.m, spec)
+                 _gains(cfg, stats), (W_SD, W_SR, W_RD), cfg.m, spec)
 
 
 def _df_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec,
-             gain_scale: float, scheme: Scheme, combining) -> RateEstimate:
+             scheme: Scheme, combining) -> RateEstimate:
     """min of the relay-decoding and combining rates, both kept in ``parts``."""
     _require(cfg, spec, scheme)
-    c_sd, c_sr, c_rd = _gains(cfg, stats, gain_scale)
+    c_sd, c_sr, c_rd = _gains(cfg, stats)
     parts = {
         RELAY_DECODING: _rate(np.log1p, (c_sr,), (W_SR,), cfg.m, spec),
         COMBINING: _rate(combining, (c_sd, c_rd), (W_SD, W_RD), cfg.m, spec),
@@ -323,26 +316,26 @@ def _df_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec,
     return replace(min(parts.values(), key=lambda r: r.value), parts=parts)
 
 
-def df_repetition_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec,
-                       *, gain_scale: float = 1.0) -> RateEstimate:
+def df_repetition_rate(cfg: SystemConfig, stats: ChannelStats,
+                       spec: ExpectationSpec) -> RateEstimate:
     """Decode-and-forward rate when the relay repeats the source codeword.
 
     min of the relay-decoding rate and the destination rate
     (m-2)/(2m) * E[ log(1 + g_sd + g_rd) ]; both appear in ``parts``.
     """
-    return _df_rate(cfg, stats, spec, gain_scale, Scheme.DF_REPETITION,
+    return _df_rate(cfg, stats, spec, Scheme.DF_REPETITION,
                     lambda g_sd, g_rd: np.log1p(g_sd + g_rd))
 
 
-def df_parallel_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec,
-                     *, gain_scale: float = 1.0) -> RateEstimate:
+def df_parallel_rate(cfg: SystemConfig, stats: ChannelStats,
+                     spec: ExpectationSpec) -> RateEstimate:
     """Decode-and-forward rate with an independent relay codeword.
 
     The destination constraint becomes
     (m-2)/(2m) * E[ log(1 + g_sd) + log(1 + g_rd) ]. Dominates the
     repetition scheme sample by sample, since (1 + x)(1 + y) >= 1 + x + y.
     """
-    return _df_rate(cfg, stats, spec, gain_scale, Scheme.DF_PARALLEL,
+    return _df_rate(cfg, stats, spec, Scheme.DF_PARALLEL,
                     lambda g_sd, g_rd: np.log1p(g_sd) + np.log1p(g_rd))
 
 

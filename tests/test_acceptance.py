@@ -47,7 +47,7 @@ from relayrates import (
     snr_gain_g,
     snr_gain_g_coefficient,
 )
-from relayrates.cli import main
+from relayrates.cli import AF_ORACLE_CONFIGS, DELTA_R_CASES, main
 from relayrates.optimize import closed_grid
 
 LOG1P_EXP_MEAN = 0.5963473623231946  # e * E1(1), see test_rates.py
@@ -82,15 +82,8 @@ def test_criterion_1_estimation_oracle():
 
 def test_criterion_2_af_oracle_equivalence():
     started = time.monotonic()
-    configs = [
-        (50, 60.0, 40.0, 0.1, 0.1, (1.0, 4.0, 4.0), 1.0),
-        (50, 50.0, 50.0, 0.1, 0.1, (1.0, 2.0, 1.0), 1.0),
-        (50, 80.0, 20.0, 0.05, 0.3, (0.5, 5.0, 0.5), 1.0),
-        (10, 30.0, 70.0, 0.2, 0.2, (2.0, 1.0, 3.0), 2.0),
-        (100, 10.0, 90.0, 0.15, 0.05, (1.0, 10.0, 2.0), 0.5),
-    ]
     worst_pull = 0.0
-    for i, (m, ps, pr, ds, dr, sigma, n0) in enumerate(configs):
+    for i, (m, ps, pr, ds, dr, sigma, n0) in enumerate(AF_ORACLE_CONFIGS):
         cfg = SystemConfig(m=m, p_s=ps, p_r=pr, delta_s=ds, delta_r=dr, scheme=Scheme.AF)
         stats = ChannelStats(*sigma, n0=n0)
         spec = ExpectationSpec(dims=3, samples=100_000, seed=400 + i)
@@ -105,7 +98,7 @@ def test_criterion_2_af_oracle_equivalence():
     elapsed = time.monotonic() - started
     ok = worst_pull <= 3.0 and gap <= 1e-9 and elapsed < 30.0
     report(2, "AF oracle equivalence", ok,
-           f"{len(configs)} configs, worst pull {worst_pull:.2f} SE, "
+           f"{len(AF_ORACLE_CONFIGS)} configs, worst pull {worst_pull:.2f} SE, "
            f"identity gap {gap:.2e}, {elapsed:.1f}s")
     assert worst_pull <= 3.0
     assert gap <= 1e-9
@@ -114,13 +107,12 @@ def test_criterion_2_af_oracle_equivalence():
 
 def test_criterion_3_delta_r_closed_form():
     worst = 0.0
-    for m in (6, 10, 50, 200):
-        for snr in (1e-2, 1.0, 1e2, 1e4, 1e6):
-            closed = optimal_delta_r(m, snr, 1.0, 1.0)
-            reference = grid_argmax(
-                lambda a, m=m, snr=snr: float(snr_gain_g_coefficient(a, snr, 1.0, 1.0, m)),
-                0.0, 1.0, 1e-4)
-            worst = max(worst, abs(closed - reference.argument))
+    for m, snr in DELTA_R_CASES:
+        closed = optimal_delta_r(m, snr, 1.0, 1.0)
+        reference = grid_argmax(
+            lambda a, m=m, snr=snr: float(snr_gain_g_coefficient(a, snr, 1.0, 1.0, m)),
+            0.0, 1.0, 1e-4)
+        worst = max(worst, abs(closed - reference.argument))
     reference_value = optimal_delta_r(50, 100.0, 1.0, 1.0)
     limit_gap = abs(optimal_delta_r(50, 1e6, 1.0, 1.0) - HIGH_SNR_LIMIT_M50)
     ok = worst <= 1e-3 and abs(reference_value - 0.170) <= 1e-3 and limit_gap <= 1e-4

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import relayrates.oracle
 from relayrates import (
     ChannelStats,
     ExpectationSpec,
@@ -85,6 +86,8 @@ class TestRateCommand:
         cases = [
             (["--ps", "60", "--pr", "40", "--sigma", "1,4,-4"], None),
             (["--p", "100", "--theta", "1.5", "--sigma", "1,4,4"], "theta"),
+            (["--ps", "60", "--pr", "40", "--sigma", "1,4,4", "--samples", "10000000000"],
+             "samples"),
         ]
         for extra, named in cases:
             code, _, err = run(capsys, *common, *extra)
@@ -231,10 +234,22 @@ class TestOptimalTraining:
         code, out, _ = run(capsys, "optimal-training", "--m", "50", "--pr", "40",
                            "--sigma-rd", "4", "--ps", "60", "--sigma-sd", "1",
                            "--sigma-sr", "4", "--global-delta", "--scheme", "af",
-                           "--sigma", "1,4,4", "--samples", "2000",
-                           "--delta-step", "0.05")
+                           "--samples", "2000", "--delta-step", "0.05")
         assert code == 0
         assert "delta_r_grid=" in out and "rate_nats=" in out
+
+    def test_global_delta_searches_at_sigma_rd(self, capsys):
+        code, out, _ = run(capsys, "optimal-training", "--m", "50", "--pr", "40",
+                           "--sigma-rd", "1", "--ps", "60", "--sigma-sd", "1",
+                           "--sigma-sr", "4", "--global-delta", "--scheme", "af",
+                           "--samples", "2000", "--delta-step", "0.05")
+        assert code == 0
+        fields = dict(token.split("=") for token in out.split() if "=" in token)
+        cfg = SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1,
+                           delta_r=float(fields["delta_r_grid"]), scheme=Scheme.AF)
+        expected = af_rate(cfg, ChannelStats(1.0, 4.0, 1.0, 1.0),
+                           ExpectationSpec(dims=3, samples=2000, seed=0))
+        assert float(fields["rate_nats"]) == expected.value
 
 
 class TestConfigFile:
@@ -298,15 +313,18 @@ class TestVerifyCommand:
     def test_quick_run_passes_within_budget(self, capsys):
         import time
         started = time.monotonic()
-        code, out, _ = run(capsys, "verify", "--quick", "--seed", "1")
+        code, out, _ = run(capsys, "verify", "--samples", "10000", "--seed", "1")
         elapsed = time.monotonic() - started
         assert code == 0
         assert "verify passed" in out
         assert out.count("pass") >= 4
         assert elapsed < 10.0
 
-    def test_perturbation_is_detected(self, capsys):
-        code, out, _ = run(capsys, "verify", "--quick", "--seed", "1",
-                           "--perturb", "1e-2")
+    def test_perturbation_is_detected(self, capsys, monkeypatch):
+        # a 1% bias in the oracle's scalar combiner must break the identity check
+        exact = relayrates.oracle.f_combiner
+        monkeypatch.setattr(relayrates.oracle, "f_combiner", lambda x, y: 1.01 * exact(x, y))
+        code, out, _ = run(capsys, "verify", "--samples", "10000", "--seed", "1")
         assert code == 1
-        assert "FAIL" in out
+        assert any(line.startswith("FAIL") and "per-draw-identity" in line
+                   for line in out.splitlines())

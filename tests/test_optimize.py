@@ -7,7 +7,6 @@ from relayrates import (
     ExpectationSpec,
     PowerSplit,
     Scheme,
-    SearchMethod,
     SystemConfig,
     af_rate,
     closed_grid,
@@ -124,7 +123,6 @@ class TestOptimizeTheta:
         spec = ExpectationSpec(dims=3, samples=4_000, seed=19)
         result = optimize_theta(100.0, stats, 50, 0.1, 0.1, Scheme.AF, spec, grid_step=0.05)
         assert result.argument == 1.0
-        assert result.method is SearchMethod.GRID
 
     def test_best_point_dominates_whole_curve(self):
         stats = ChannelStats(1.0, 4.0, 4.0, 1.0)

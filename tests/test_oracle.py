@@ -11,7 +11,6 @@ from relayrates import (
     ExpectationSpec,
     Method,
     Scheme,
-    SearchMethod,
     SystemConfig,
     af_rate,
     af_rate_logdet,
@@ -160,7 +159,6 @@ class TestGridArgmax:
         result = grid_argmax(lambda x: 0.7, 0.0, 1.0, 0.1)
         assert result.argument == 0.0
         assert result.rate.value == 0.7
-        assert result.method is SearchMethod.GRID
 
     def test_quadratic_vertex(self):
         result = grid_argmax(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 1e-4)

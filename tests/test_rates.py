@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from relayrates import (
     COMBINING,
@@ -25,7 +25,7 @@ from relayrates import (
     mmse_quality,
     snr_gain_g,
 )
-from relayrates.rates import MAX_NODES
+from relayrates.rates import MAX_NODES, MAX_SAMPLES
 
 # E[ln(1 + x)] for x ~ Exp(1), frozen from e * E1(1) (scipy.special.exp1);
 # re-derived against scipy in test_reference_value_matches_exp1 below.
@@ -50,6 +50,7 @@ class TestFCombiner:
         assert f_combiner(3.0, 3.0) == pytest.approx(9.0 / 7.0, rel=1e-15)
 
     @given(x=st.floats(0.0, 1e9), y=st.floats(0.0, 1e9))
+    @example(x=1.0, y=1e-4)  # 1 + x + y rounds differently from 1 + y + x
     def test_symmetric_and_bounded_by_min(self, x, y):
         assert f_combiner(x, y) == f_combiner(y, x)
         assert f_combiner(x, y) <= min(x, y) + 1e-12
@@ -155,6 +156,9 @@ class TestExpectationEngine:
             ExpectationSpec(dims=4)
         with pytest.raises(ValueError):
             ExpectationSpec(dims=1, samples=0)
+        # rejected before any draw is made
+        with pytest.raises(ValueError, match="samples"):
+            ExpectationSpec(dims=3, samples=MAX_SAMPLES + 1)
         with pytest.raises(ValueError):
             ExpectationSpec(dims=1, nodes=4)
         with pytest.raises(ValueError):
