@@ -7,11 +7,13 @@ Subcommands
     optimal-training closed-form training fractions for one configuration
     verify           cross-check closed forms against the independent oracles
 
-Flags may also come from a plain-text config file (``--config``, one
-``key=value`` per line, ``#`` comments, keys named like the long options);
-explicit flags win. All CSV output is deterministic: same flags, same bytes,
-whatever the worker count. Set ``RELAYRATES_OUTDIR`` to prefix relative
-output paths.
+Values come from three places, in rising precedence: a bundled preset
+(``--preset``), a plain-text config file (``--config``, one ``key=value`` per
+line, ``#`` comments, keys named like the long options) and explicit flags.
+The first two are spelled out as flags ahead of the explicit ones, and
+argparse parses, type-checks and requires every value once. All CSV output
+is deterministic: same flags, same bytes, whatever the worker count. Set
+``RELAYRATES_OUTDIR`` to prefix relative output paths.
 """
 
 from __future__ import annotations
@@ -51,12 +53,6 @@ from .rates import (
 
 LN2 = math.log(2.0)
 
-_SCHEMES = {
-    "af": Scheme.AF,
-    "df-rep": Scheme.DF_REPETITION,
-    "df-par": Scheme.DF_PARALLEL,
-}
-
 THETA_CSV_HEADER = ["theta", "rate_nats", "std_error", "scheme", "sigma_sd", "sigma_sr",
                     "sigma_rd", "P", "m", "delta_s", "delta_r", "seed"]
 SIGMA_RD_CSV_HEADER = ["sigma_rd", "delta_r_opt", "P_r", "m"]
@@ -82,6 +78,14 @@ class Preset:
     comment: str
     params: dict = field(default_factory=dict)
     sigma_triples: tuple = ()
+
+    def flags(self) -> list[str]:
+        """The params as command-line tokens; tuples are joined with commas."""
+        tokens = []
+        for key, value in self.params.items():
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            tokens += [f"--{key.replace('_', '-')}", text]
+        return tokens
 
 
 _FIG_COMMENT = "m = 50 assumed (block length is not pinned down for this sweep family)"
@@ -166,15 +170,26 @@ def _load_config_file(path: str) -> list[str]:
     return extra
 
 
-def _apply_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+def _expand(argv: list[str]) -> list[str]:
+    """Spell ``--preset`` and ``--config`` out as flags ahead of the explicit ones.
+
+    The result holds the preset's values, then the file's, then argv, so
+    argparse (which keeps the last value of a repeated flag) lets the file
+    override the preset and an explicit flag override both. A config file
+    may name the preset; a preset of another command is left for argparse
+    to reject.
+    """
+    if not argv:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        return argv  # argparse will report the missing value
-    file_args = _load_config_file(argv[at + 1])
-    # insert after the subcommand so file values act as overridable defaults
-    return argv[:1] + file_args + argv[1:]
+    pre = argparse.ArgumentParser(prog=f"relayrates {argv[0]}", usage=argparse.SUPPRESS,
+                                  add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    pre.add_argument("--preset")
+    config = pre.parse_known_args(argv[1:])[0].config
+    file_args = _load_config_file(config) if config else []
+    preset = PRESETS.get(pre.parse_known_args(file_args + argv[1:])[0].preset)
+    preset_args = preset.flags() if preset is not None and preset.command == argv[0] else []
+    return argv[:1] + preset_args + file_args + argv[1:]
 
 
 def _expectation_spec(args) -> ExpectationSpec:
@@ -204,7 +219,7 @@ def cmd_rate(args) -> int:
         p_s, p_r = args.ps, args.pr
     else:
         raise ValueError("give either --ps and --pr, or --p together with --theta")
-    scheme = _SCHEMES[args.scheme]
+    scheme = Scheme(args.scheme)
     stats = ChannelStats(*args.sigma[:3], n0=args.n0)
     cfg = SystemConfig(m=args.m, p_s=p_s, p_r=p_r, delta_s=args.delta_s,
                        delta_r=args.delta_r, scheme=scheme)
@@ -215,57 +230,37 @@ def cmd_rate(args) -> int:
     return 0
 
 
-def _preset(args, command: str) -> Preset | None:
-    if not args.preset:
+def _preset(args) -> Preset | None:
+    if args.preset is None:
         return None
-    preset = PRESETS.get(args.preset)
-    if preset is None or preset.command != command:
-        raise ValueError(f"unknown {command} preset {args.preset!r}")
-    print(f"note: preset {args.preset}: {preset.comment}")
-    return preset
-
-
-def _preset_value(args, preset: Preset | None, key: str, default=None):
-    flag = getattr(args, key)
-    if flag is not None:
-        return flag
-    if preset is not None and key in preset.params:
-        return preset.params[key]
-    if default is not None:
-        return default
-    raise ValueError(f"missing required value --{key.replace('_', '-')}")
+    print(f"note: preset {args.preset}: {PRESETS[args.preset].comment}")
+    return PRESETS[args.preset]
 
 
 def cmd_sweep_theta(args) -> int:
-    preset = _preset(args, "sweep-theta")
-
-    scheme_name = _preset_value(args, preset, "scheme")
-    total_p = _preset_value(args, preset, "p")
-    m = _preset_value(args, preset, "m")
-    n0 = _preset_value(args, preset, "n0", 1.0)
-    delta_s = _preset_value(args, preset, "delta_s")
-    delta_r = _preset_value(args, preset, "delta_r")
-    scheme = _SCHEMES[scheme_name]
-
-    if args.sigma is not None:
+    preset = _preset(args)
+    scheme = Scheme(args.scheme)
+    if args.sigma is not None or preset is None:
+        if args.curve is not None:
+            raise ValueError("--curve picks a --preset curve; it needs a preset and no --sigma")
+        if args.sigma is None:
+            raise ValueError("missing required value --sigma")
         triples = [args.sigma]
-    elif preset is not None:
+    else:
         triples = list(preset.sigma_triples)
         if args.curve is not None:
             if not 1 <= args.curve <= len(triples):
                 raise ValueError(f"--curve must be in 1..{len(triples)}")
             triples = [triples[args.curve - 1]]
-    else:
-        raise ValueError("missing required value --sigma")
 
     spec = _expectation_spec(args)
     outputs = []
     for triple in triples:
-        stats = ChannelStats(*triple, n0=n0)
-        curve = theta_sweep(total_p, stats, m, delta_s, delta_r, scheme, spec,
+        stats = ChannelStats(*triple, n0=args.n0)
+        curve = theta_sweep(args.p, stats, args.m, args.delta_s, args.delta_r, scheme, spec,
                             grid_step=args.theta_step, workers=args.workers)
-        rows = [[theta, est.value, est.std_error, scheme_name, triple[0], triple[1],
-                 triple[2], total_p, m, delta_s, delta_r, args.seed]
+        rows = [[theta, est.value, est.std_error, args.scheme, *triple, args.p, args.m,
+                 args.delta_s, args.delta_r, args.seed]
                 for theta, est in curve]
         outputs.append(rows)
 
@@ -282,19 +277,9 @@ def cmd_sweep_theta(args) -> int:
 
 
 def cmd_sweep_sigma_rd(args) -> int:
-    preset = _preset(args, "sweep-sigma-rd")
-
-    m = _preset_value(args, preset, "m")
-    prs = _preset_value(args, preset, "pr")
-    lo = _preset_value(args, preset, "lo")
-    hi = _preset_value(args, preset, "hi")
-    step = _preset_value(args, preset, "step")
-    n0 = _preset_value(args, preset, "n0", 1.0)
-
-    rows = []
-    for p_r in prs:
-        for sigma_rd in closed_grid(lo, hi, step):
-            rows.append([sigma_rd, optimal_delta_r(m, p_r, sigma_rd, n0), p_r, m])
+    _preset(args)
+    rows = [[sigma_rd, optimal_delta_r(args.m, p_r, sigma_rd, args.n0), p_r, args.m]
+            for p_r in args.pr for sigma_rd in closed_grid(args.lo, args.hi, args.step)]
 
     path = _resolve_out(args.out)
     _write_csv(path, SIGMA_RD_CSV_HEADER, rows)
@@ -316,7 +301,7 @@ def cmd_optimal_training(args) -> int:
     if args.global_delta:
         if args.ps is None or args.scheme is None:
             raise ValueError("--global-delta needs --scheme and --ps")
-        scheme = _SCHEMES[args.scheme]
+        scheme = Scheme(args.scheme)
         spec = ExpectationSpec(dims=3, samples=args.samples, seed=args.seed)
 
         def full_rate(delta: float) -> float:
@@ -402,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Achievable rates and resource allocation for pilot-trained relay links",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    schemes = [scheme.value for scheme in Scheme]
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key=value defaults file; explicit flags win")
@@ -414,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bits", action="store_true", help="report bits instead of nats")
 
     p_rate = sub.add_parser("rate", help="evaluate one configuration")
-    p_rate.add_argument("--scheme", choices=sorted(_SCHEMES), required=True)
+    p_rate.add_argument("--scheme", choices=schemes, required=True)
     p_rate.add_argument("--m", type=int, required=True)
     p_rate.add_argument("--sigma", type=_parse_sigma, required=True,
                         help="sd,sr,rd fading standard deviations")
@@ -433,13 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--preset", choices=[k for k, v in PRESETS.items()
                                               if v.command == "sweep-theta"])
     p_sweep.add_argument("--curve", type=int, help="pick one preset curve (1-based)")
-    p_sweep.add_argument("--scheme", choices=sorted(_SCHEMES))
-    p_sweep.add_argument("--p", type=float, help="total power")
-    p_sweep.add_argument("--m", type=int)
-    p_sweep.add_argument("--sigma", type=_parse_sigma)
-    p_sweep.add_argument("--n0", type=float)
-    p_sweep.add_argument("--delta-s", type=float)
-    p_sweep.add_argument("--delta-r", type=float)
+    p_sweep.add_argument("--scheme", choices=schemes, required=True)
+    p_sweep.add_argument("--p", type=float, required=True, help="total power")
+    p_sweep.add_argument("--m", type=int, required=True)
+    p_sweep.add_argument("--sigma", type=_parse_sigma, help="needed unless --preset is given")
+    p_sweep.add_argument("--n0", type=float, default=1.0)
+    p_sweep.add_argument("--delta-s", type=float, required=True)
+    p_sweep.add_argument("--delta-r", type=float, required=True)
     p_sweep.add_argument("--theta-step", type=float, default=0.01)
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", required=True)
@@ -451,12 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="optimal relay training fraction vs. sigma_rd, CSV output")
     p_srd.add_argument("--preset", choices=[k for k, v in PRESETS.items()
                                             if v.command == "sweep-sigma-rd"])
-    p_srd.add_argument("--m", type=int)
-    p_srd.add_argument("--pr", type=_parse_float_list, help="comma-separated relay powers")
-    p_srd.add_argument("--lo", type=float)
-    p_srd.add_argument("--hi", type=float)
-    p_srd.add_argument("--step", type=float)
-    p_srd.add_argument("--n0", type=float)
+    p_srd.add_argument("--m", type=int, required=True)
+    p_srd.add_argument("--pr", type=_parse_float_list, required=True,
+                       help="comma-separated relay powers")
+    p_srd.add_argument("--lo", type=float, required=True)
+    p_srd.add_argument("--hi", type=float, required=True)
+    p_srd.add_argument("--step", type=float, required=True)
+    p_srd.add_argument("--n0", type=float, default=1.0)
     p_srd.add_argument("--out", required=True)
     p_srd.add_argument("--config", help="key=value defaults file; explicit flags win")
     p_srd.set_defaults(func=cmd_sweep_sigma_rd)
@@ -471,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--sigma-sr", type=float)
     p_opt.add_argument("--global-delta", action="store_true",
                        help="also grid-search delta_r against the full rate")
-    p_opt.add_argument("--scheme", choices=sorted(_SCHEMES))
+    p_opt.add_argument("--scheme", choices=schemes)
     p_opt.add_argument("--delta-s", type=float, default=0.1)
     p_opt.add_argument("--delta-step", type=float, default=0.01)
     add_common(p_opt)
@@ -487,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_expand(argv))
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,11 @@
 Nothing here reuses the scalar rate formulas: the training simulator works
 at symbol level on raw pilot observations, and the amplify-and-forward
 evaluator goes through the 2x1 vector channel (signal vector A, noise mixing
-matrix B, explicit amplification beta) and a genuine matrix log-determinant.
+matrix B, explicit amplification beta) and the matrix log-determinant
+log det(I + E A A^H Cov^-1). That is evaluated in whitened Hermitian form,
+log(1 + E ||L^-1 A||^2) with Cov = L L^H (Cholesky), which has no
+cancellation at high power; a covariance that is not positive definite is
+an error.
 Agreement between the two routes is the primary correctness check of the
 package; disagreement beyond sampling noise is a bug by definition.
 """
@@ -127,13 +131,17 @@ def _vector_channel(cfg: SystemConfig, stats: ChannelStats, seed: int, n: int):
 
 
 def _logdet(signal_energy: float, a: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """log det(I + E|x|^2 * A A^H * Cov^-1) per draw, for (n, 2) A and (n, 2, 2) Cov."""
-    outer = signal_energy * a[:, :, None] * a.conj()[:, None, :]
-    k = np.eye(2, dtype=complex)[None, :, :] + outer @ np.linalg.inv(cov)
-    sign, logs = np.linalg.slogdet(k)
-    if np.any(np.abs(sign - 1.0) > 1e-9):
-        raise ArithmeticError("log-det integrand lost positivity")
-    return logs
+    """log det(I + E|x|^2 * A A^H * Cov^-1) per draw, for (n, 2) A and (n, 2, 2) Cov.
+
+    A A^H has rank one, so this is log(1 + E|x|^2 * ||L^-1 a||^2) with Cov = L L^H.
+    """
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ArithmeticError("noise covariance of the log-det integrand is not "
+                              "positive definite") from None
+    white = np.linalg.solve(chol, a[:, :, None])[:, :, 0]
+    return np.log1p(signal_energy * np.sum(white.real ** 2 + white.imag ** 2, axis=1))
 
 
 def vector_channel_samples(cfg: SystemConfig, stats: ChannelStats, seed: int,

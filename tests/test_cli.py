@@ -1,5 +1,8 @@
 import math
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +15,7 @@ from relayrates import (
     af_rate,
     optimal_delta_r,
 )
-from relayrates.cli import THETA_CSV_HEADER, main
+from relayrates.cli import THETA_CSV_HEADER, _expand, build_parser, main
 
 RATE_ARGS = ["rate", "--scheme", "af", "--m", "50", "--ps", "60", "--pr", "40",
              "--delta-s", "0.1", "--delta-r", "0.1", "--sigma", "1,4,4",
@@ -64,9 +67,18 @@ class TestRateCommand:
         assert code == 0 and "rate_nats=" in out
 
     def test_missing_required_flag_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["rate", "--scheme", "af", "--m", "50"])
-        assert excinfo.value.code == 2
+        cases = [
+            (["rate", "--scheme", "af", "--m", "50"], []),
+            (["sweep-theta", "--out", "x.csv"],
+             ["--scheme", "--p", "--m", "--delta-s", "--delta-r"]),
+            (["sweep-sigma-rd", "--out", "x.csv"], ["--m", "--pr", "--lo", "--hi", "--step"]),
+        ]
+        for argv, named in cases:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert all(flag in err for flag in named)
 
     def test_conflicting_power_flags(self, capsys):
         code, _, err = run(capsys, "rate", "--scheme", "af", "--m", "50",
@@ -152,10 +164,20 @@ class TestSweepTheta:
 
     def test_invalid_config_produces_no_file(self, tmp_path, capsys):
         target = tmp_path / "out.csv"
-        code, _, err = run(capsys, "sweep-theta", "--scheme", "af", "--p", "100",
-                           "--m", "49", "--sigma", "1,4,4", "--delta-s", "0.1",
-                           "--delta-r", "0.1", "--samples", "100", "--out", str(target))
-        assert code == 1 and not target.exists()
+        common = ["sweep-theta", "--scheme", "af", "--p", "100", "--delta-s", "0.1",
+                  "--delta-r", "0.1", "--samples", "100", "--out", str(target)]
+        cases = [
+            (["--m", "49", "--sigma", "1,4,4"], None),
+            # --curve picks a preset curve: with --sigma, or without a preset,
+            # there is none to pick
+            (["--m", "50", "--sigma", "1,4,4", "--curve", "2"], "--curve"),
+            (["--preset", "fig2", "--sigma", "1,4,4", "--curve", "2"], "--curve"),
+        ]
+        for extra, named in cases:
+            code, _, err = run(capsys, *common, *extra)
+            assert code == 1 and not target.exists()
+            if named is not None:
+                assert err.startswith("error:") and err.count("\n") == 1 and named in err
 
     def test_grid_budget_fails_before_any_point_is_built(self, tmp_path, capsys, monkeypatch):
         # a 1e-9 step asks for 10^9 + 1 grid points; the budget check must
@@ -275,6 +297,8 @@ class TestConfigFile:
         assert "seed=7" in out_file
         assert "seed=8" in out_override
         assert out_file != out_override
+        code, out_equals_form, _ = run(capsys, "rate", f"--config={config}")
+        assert code == 0 and out_equals_form == out_file
 
     def test_bad_line_is_reported(self, tmp_path, capsys):
         config = tmp_path / "broken.cfg"
@@ -288,6 +312,40 @@ class TestConfigFile:
         code, out, _ = run(capsys, *RATE_ARGS[:1], "--config", str(config),
                            *RATE_ARGS[1:], "--samples", "1000")
         assert code == 0 and "rate_bits=" in out
+
+    def test_precedence_preset_then_file_then_flag(self, tmp_path, capsys):
+        config = tmp_path / "fig5.cfg"
+        config.write_text("preset=fig5\np=3\n")
+        common = ["sweep-theta", "--config", str(config), "--curve", "1",
+                  "--theta-step", "0.5", "--samples", "200"]
+        for extra, expected_p in (([], "3.0"), (["--p", "7"], "7.0")):
+            out = tmp_path / f"p{expected_p}.csv"
+            code, stdout, _ = run(capsys, *common, *extra, "--out", str(out))
+            assert code == 0 and "note: preset fig5" in stdout
+            rows = {tuple(line.split(",")[3:11]) for line in out.read_text().splitlines()[1:]}
+            # the file overrides the preset's P = 1 and the flag overrides the
+            # file; every other value is the preset's
+            assert rows == {("af", "1.0", "10.0", "2.0", expected_p, "50", "0.1", "0.1")}
+
+
+def _readme_commands() -> list[str]:
+    """Every ``relayrates ...`` command of README's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("relayrates "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse():
+    # parsed only, not run: every flag the README shows must still exist
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    for command in commands:
+        args = build_parser().parse_args(_expand(shlex.split(command, comments=True)[1:]))
+        assert callable(args.func)
 
 
 class TestOutputDirEnv:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -124,6 +125,26 @@ class TestLogdetOracle:
     def test_per_draw_identity(self):
         stats = ChannelStats(1.0, 4.0, 4.0, 1.0)
         assert max_identity_gap(_cfg(), stats, seed=60, count=1_000) <= 1e-9
+
+    def test_finite_and_agrees_at_high_power(self):
+        # at P = 1e9 the non-Hermitian 2x2 determinant lost positivity on
+        # most draws; the whitened form stays finite and exact
+        stats = ChannelStats(1.0, 4.0, 4.0, 1.0)
+        cfg = _cfg(p_s=0.6e9, p_r=0.4e9)
+        spec = ExpectationSpec(dims=3, samples=20_000, seed=0)
+        scalar = af_rate(cfg, stats, spec)
+        matrix = af_rate_logdet(cfg, stats, spec)
+        assert math.isfinite(matrix.value) and math.isfinite(matrix.std_error)
+        assert abs(scalar.value - matrix.value) <= 3.0 * math.hypot(scalar.std_error,
+                                                                    matrix.std_error)
+        assert max_identity_gap(cfg, stats, seed=0, count=1_000) <= 1e-9
+
+    def test_indefinite_covariance_is_reported(self):
+        sample = vector_channel_samples(_cfg(), ChannelStats(1.0, 4.0, 4.0, 1.0), seed=63,
+                                        count=1)[0]
+        broken = dataclasses.replace(sample, noise_cov=-sample.noise_cov)
+        with pytest.raises(ArithmeticError, match="covariance"):
+            logdet_integrand(broken, 1.0)
 
     def test_vector_samples_respect_invariants(self):
         stats = ChannelStats(1.0, 4.0, 4.0, 1.0)
