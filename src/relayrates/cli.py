@@ -49,6 +49,7 @@ from .rates import (
     RateEstimate,
     af_rate,
     closed_grid,
+    common_draws,
 )
 
 LN2 = math.log(2.0)
@@ -303,11 +304,12 @@ def cmd_optimal_training(args) -> int:
             raise ValueError("--global-delta needs --scheme and --ps")
         scheme = Scheme(args.scheme)
         spec = ExpectationSpec(dims=3, samples=args.samples, seed=args.seed)
+        draws = common_draws(spec)
 
         def full_rate(delta: float) -> float:
             cfg = SystemConfig(m=args.m, p_s=args.ps, p_r=args.pr,
                                delta_s=args.delta_s, delta_r=delta, scheme=scheme)
-            return RATE_FN[scheme](cfg, stats, spec).value
+            return RATE_FN[scheme](cfg, stats, spec, draws=draws).value
 
         found = grid_argmax(full_rate, 0.0, 1.0, args.delta_step)
         print(f"delta_r_grid={found.argument!r} rate_nats={found.rate.value!r} "
@@ -399,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nodes", type=int, default=64)
         p.add_argument("--bits", action="store_true", help="report bits instead of nats")
 
-    p_rate = sub.add_parser("rate", help="evaluate one configuration")
+    p_rate = sub.add_parser("rate", help="evaluate one configuration", allow_abbrev=False)
     p_rate.add_argument("--scheme", choices=schemes, required=True)
     p_rate.add_argument("--m", type=int, required=True)
     p_rate.add_argument("--sigma", type=_parse_sigma, required=True,
@@ -415,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_rate_common(p_rate)
     p_rate.set_defaults(func=cmd_rate)
 
-    p_sweep = sub.add_parser("sweep-theta", help="rate vs. power split, CSV output")
+    p_sweep = sub.add_parser("sweep-theta", help="rate vs. power split, CSV output",
+                             allow_abbrev=False)
     p_sweep.add_argument("--preset", choices=[k for k, v in PRESETS.items()
                                               if v.command == "sweep-theta"])
     p_sweep.add_argument("--curve", type=int, help="pick one preset curve (1-based)")
@@ -434,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep_theta)
 
     p_srd = sub.add_parser("sweep-sigma-rd",
-                           help="optimal relay training fraction vs. sigma_rd, CSV output")
+                           help="optimal relay training fraction vs. sigma_rd, CSV output",
+                           allow_abbrev=False)
     p_srd.add_argument("--preset", choices=[k for k, v in PRESETS.items()
                                             if v.command == "sweep-sigma-rd"])
     p_srd.add_argument("--m", type=int, required=True)
@@ -448,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_srd.add_argument("--config", help="key=value defaults file; explicit flags win")
     p_srd.set_defaults(func=cmd_sweep_sigma_rd)
 
-    p_opt = sub.add_parser("optimal-training", help="closed-form training fractions")
+    p_opt = sub.add_parser("optimal-training", help="closed-form training fractions",
+                           allow_abbrev=False)
     p_opt.add_argument("--m", type=int, required=True)
     p_opt.add_argument("--pr", type=float, required=True)
     p_opt.add_argument("--sigma-rd", type=float, required=True)
@@ -464,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_opt)
     p_opt.set_defaults(func=cmd_optimal_training)
 
-    p_verify = sub.add_parser("verify", help="run the oracle cross-check suite")
+    p_verify = sub.add_parser("verify", help="run the oracle cross-check suite",
+                              allow_abbrev=False)
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -4,7 +4,9 @@ The relay's optimal training fraction maximizes the coefficient of |w|^2 in
 the per-link SNR gain and has a closed form. The source fraction has no
 closed form; two candidates (one per outgoing link) are evaluated directly.
 The source/relay power split theta is swept on a grid with common random
-numbers, so comparisons between grid points are free of sampling noise.
+numbers, so comparisons between grid points are free of sampling noise: each
+sweep call generates its three |w|^2 draw vectors once and every grid point
+rescales them by its own gains (3 x samples x 8 bytes held while it runs).
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from .channel import ChannelStats, Scheme, SystemConfig
 from .rates import (
     RATE_FN,
     AllocationResult,
+    DrawSet,
     ExpectationSpec,
     RateEstimate,
     _gain_coefficient,
     closed_grid,
+    common_draws,
 )
 
 
@@ -110,11 +114,11 @@ def suboptimal_delta_s(m: int, p_s: float, stats: ChannelStats) -> tuple[float, 
 
 def _rate_at(theta: float, total_power: float, stats: ChannelStats, m: int,
              delta_s: float, delta_r: float, scheme: Scheme,
-             spec: ExpectationSpec) -> RateEstimate:
+             spec: ExpectationSpec, draws: DrawSet) -> RateEstimate:
     split = PowerSplit(total=total_power, theta=theta)
     cfg = SystemConfig(m=m, p_s=split.p_s, p_r=split.p_r,
                        delta_s=delta_s, delta_r=delta_r, scheme=scheme)
-    return RATE_FN[scheme](cfg, stats, spec)
+    return RATE_FN[scheme](cfg, stats, spec, draws=draws)
 
 
 def theta_sweep(total_power: float, stats: ChannelStats, m: int, delta_s: float,
@@ -122,18 +126,19 @@ def theta_sweep(total_power: float, stats: ChannelStats, m: int, delta_s: float,
                 grid_step: float = 0.01, workers: int = 1) -> list[tuple[float, RateEstimate]]:
     """Rate at every theta on the closed grid [0, 1], common random numbers.
 
-    Every grid point reuses the same ExpectationSpec, hence the same |w|^2
-    draws; the sweep is bit-identical for any worker count because each point
-    is deterministic on its own.
+    The three |w|^2 draw vectors of ``spec`` are generated once per call and
+    every grid point rescales them by its own gains, so each point equals a
+    standalone rate call bit for bit, for any worker count.
     """
     if not (0.0 < grid_step <= 1.0):
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     thetas = closed_grid(0.0, 1.0, grid_step)
+    draws = common_draws(spec)
 
     def evaluate(theta: float) -> RateEstimate:
-        return _rate_at(theta, total_power, stats, m, delta_s, delta_r, scheme, spec)
+        return _rate_at(theta, total_power, stats, m, delta_s, delta_r, scheme, spec, draws)
 
     if workers == 1:
         estimates = [evaluate(t) for t in thetas]
@@ -162,14 +167,17 @@ def joint_allocation(total_power: float, stats: ChannelStats, m: int, scheme: Sc
 
     For each candidate theta: the relay fraction comes from the closed form
     at its share of the power, and the better of the two source candidates is
-    kept after evaluating both rates (common random numbers make the
-    comparison exact). Returns (theta, delta_s, delta_r, rate) of the best
-    triple; at the endpoints the powerless node's fraction is pinned to 0.
+    kept after evaluating both rates (common random numbers, drawn once per
+    call, make the comparison exact). Returns (theta, delta_s, delta_r, rate)
+    of the best triple; at the endpoints the powerless node's fraction is
+    pinned to 0.
     """
     if not (math.isfinite(total_power) and total_power > 0.0):
         raise ValueError(f"total power must be positive, got {total_power}")
+    thetas = closed_grid(0.0, 1.0, theta_step)
+    draws = common_draws(spec)
     best: tuple[float, float, float, RateEstimate] | None = None
-    for theta in closed_grid(0.0, 1.0, theta_step):
+    for theta in thetas:
         split = PowerSplit(total=total_power, theta=theta)
         delta_r = optimal_delta_r(m, split.p_r, stats.sigma_rd, stats.n0) if split.p_r > 0.0 else 0.0
         if split.p_s > 0.0:
@@ -177,7 +185,7 @@ def joint_allocation(total_power: float, stats: ChannelStats, m: int, scheme: Sc
         else:
             candidates = {0.0}
         for delta_s in sorted(candidates):
-            rate = _rate_at(theta, total_power, stats, m, delta_s, delta_r, scheme, spec)
+            rate = _rate_at(theta, total_power, stats, m, delta_s, delta_r, scheme, spec, draws)
             if best is None or rate.value > best[3].value:
                 best = (theta, delta_s, delta_r, rate)
     assert best is not None

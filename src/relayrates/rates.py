@@ -12,8 +12,11 @@ decoding term log(1 + g_sr) and a combining term.
 Monte Carlo draws come from counter-based Philox streams keyed by
 (seed, role), so identical seeds give identical draws for every scheme and
 every power split (common random numbers), independent of any parallelism
-in the caller. Quadrature (whose weight is exactly the exponential density)
-covers 1-D and 2-D expectations. The module also holds what the optimizer
+in the caller. A sweep generates its three draw vectors once per call
+(``common_draws``) and every grid point rescales them by its own gains, bit
+for bit what a standalone rate call computes; the sweep holds
+3 x samples x 8 bytes of draws while it runs. Quadrature (whose weight is
+exactly the exponential density) covers 1-D and 2-D expectations. The module also holds what the optimizer
 and the oracles share: ``RATE_FN``, ``closed_grid`` and the search result.
 """
 
@@ -163,6 +166,29 @@ def exp_draws(seed: int, tag: int, n: int) -> np.ndarray:
     return stream(seed, tag).standard_exponential(n, method="inv")
 
 
+DrawSet = Mapping[tuple[int, int, int], np.ndarray]
+
+
+def common_draws(spec: ExpectationSpec) -> DrawSet:
+    """The three link streams of ``spec``, drawn once for a whole sweep.
+
+    Keyed by ``(seed, tag, samples)``, the arguments of ``exp_draws``; the
+    arrays are read-only. A rate call handed this set rescales the stored
+    vector of each stream it needs and draws only a stream the set lacks,
+    so the set saves work but never changes a value. It holds
+    3 x samples x 8 bytes: 2.4 MB at 10^5 samples, 240 MB at MAX_SAMPLES.
+    Empty unless ``spec`` is Monte Carlo.
+    """
+    if spec.method is not Method.MONTE_CARLO:
+        return {}
+    draws = {}
+    for tag in (W_SD, W_SR, W_RD):
+        key = (spec.seed, tag, spec.samples)
+        draws[key] = exp_draws(*key)
+        draws[key].flags.writeable = False
+    return draws
+
+
 @lru_cache(maxsize=8)
 def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x, w = np.polynomial.laguerre.laggauss(nodes)
@@ -170,18 +196,22 @@ def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _expectation(integrand: Callable[..., np.ndarray], coefficients: Sequence[float],
-                 tags: Sequence[int], spec: ExpectationSpec) -> tuple[float, float]:
+                 tags: Sequence[int], spec: ExpectationSpec,
+                 draws: DrawSet | None = None) -> tuple[float, float]:
     """Mean and standard error of ``integrand(c_1 X_1, ..., c_k X_k)``.
 
-    The X_i are independent exponential(1) variables: Monte Carlo draws
-    X_i from stream ``tags[i]`` (scaled as it is drawn); Gauss-Laguerre
-    (k <= 2) evaluates the tensor rule. The mean must be finite and lie
-    within the sampled values.
+    The X_i are independent exponential(1) variables: Monte Carlo takes
+    X_i from stream ``tags[i]`` (from ``draws`` when it holds the stream,
+    else drawn now) and scales it by c_i; Gauss-Laguerre (k <= 2) evaluates
+    the tensor rule. The mean must be finite and lie within the sampled
+    values.
     """
     if spec.method is Method.MONTE_CARLO:
         n = spec.samples
-        values = np.asarray(integrand(*[c * exp_draws(spec.seed, tag, n)
-                                        for c, tag in zip(coefficients, tags)]), dtype=float)
+        draws = draws or {}
+        streams = [(spec.seed, tag, n) for tag in tags]
+        values = np.asarray(integrand(*[c * (draws[key] if key in draws else exp_draws(*key))
+                                        for c, key in zip(coefficients, streams)]), dtype=float)
         if values.shape != (n,):
             raise ValueError("integrand must map (n,) arrays to an (n,) array")
         mean = float(values.mean())
@@ -272,10 +302,11 @@ def _gains(cfg: SystemConfig, stats: ChannelStats):
             _gain_coefficient(cfg.delta_r, cfg.p_r, stats.sigma_rd, stats.n0, cfg.m))
 
 
-def _rate(integrand, coefficients, tags, m: int, spec: ExpectationSpec) -> RateEstimate:
+def _rate(integrand, coefficients, tags, m: int, spec: ExpectationSpec,
+          draws: DrawSet | None) -> RateEstimate:
     # two pilot symbols plus half-duplex halving
     prefactor = (m - 2.0) / (2.0 * m)
-    mean, std_error = _expectation(integrand, coefficients, tags, spec)
+    mean, std_error = _expectation(integrand, coefficients, tags, spec, draws)
     samples = spec.samples if spec.method is Method.MONTE_CARLO else 0
     return RateEstimate(prefactor * mean, prefactor * std_error, samples, spec.method)
 
@@ -291,44 +322,46 @@ def _require(cfg: SystemConfig, spec: ExpectationSpec, scheme: Scheme) -> None:
         raise ValueError("quadrature DF evaluation is 2-D; use dims=2")
 
 
-def af_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec) -> RateEstimate:
+def af_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
+            draws: DrawSet | None = None) -> RateEstimate:
     """Worst-case amplify-and-forward rate.
 
     (m-2)/(2m) * E[ log(1 + g_sd + f(g_sr, g_rd)) ] over independent
     exponential draws of the three |w|^2 variables. Monte Carlo only; the
     3-D expectation has no quadrature route here (the matrix-form oracle is
-    the cross-check).
+    the cross-check). ``draws`` (from ``common_draws``) lets a sweep skip
+    the draw; the value is the same without it.
     """
     _require(cfg, spec, Scheme.AF)
     return _rate(lambda g_sd, g_sr, g_rd: np.log1p(g_sd + f_combiner(g_sr, g_rd)),
-                 _gains(cfg, stats), (W_SD, W_SR, W_RD), cfg.m, spec)
+                 _gains(cfg, stats), (W_SD, W_SR, W_RD), cfg.m, spec, draws)
 
 
 def _df_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec,
-             scheme: Scheme, combining) -> RateEstimate:
+             scheme: Scheme, combining, draws: DrawSet | None) -> RateEstimate:
     """min of the relay-decoding and combining rates, both kept in ``parts``."""
     _require(cfg, spec, scheme)
     c_sd, c_sr, c_rd = _gains(cfg, stats)
     parts = {
-        RELAY_DECODING: _rate(np.log1p, (c_sr,), (W_SR,), cfg.m, spec),
-        COMBINING: _rate(combining, (c_sd, c_rd), (W_SD, W_RD), cfg.m, spec),
+        RELAY_DECODING: _rate(np.log1p, (c_sr,), (W_SR,), cfg.m, spec, draws),
+        COMBINING: _rate(combining, (c_sd, c_rd), (W_SD, W_RD), cfg.m, spec, draws),
     }
     return replace(min(parts.values(), key=lambda r: r.value), parts=parts)
 
 
-def df_repetition_rate(cfg: SystemConfig, stats: ChannelStats,
-                       spec: ExpectationSpec) -> RateEstimate:
+def df_repetition_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
+                       draws: DrawSet | None = None) -> RateEstimate:
     """Decode-and-forward rate when the relay repeats the source codeword.
 
     min of the relay-decoding rate and the destination rate
     (m-2)/(2m) * E[ log(1 + g_sd + g_rd) ]; both appear in ``parts``.
     """
     return _df_rate(cfg, stats, spec, Scheme.DF_REPETITION,
-                    lambda g_sd, g_rd: np.log1p(g_sd + g_rd))
+                    lambda g_sd, g_rd: np.log1p(g_sd + g_rd), draws)
 
 
-def df_parallel_rate(cfg: SystemConfig, stats: ChannelStats,
-                     spec: ExpectationSpec) -> RateEstimate:
+def df_parallel_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
+                     draws: DrawSet | None = None) -> RateEstimate:
     """Decode-and-forward rate with an independent relay codeword.
 
     The destination constraint becomes
@@ -336,7 +369,7 @@ def df_parallel_rate(cfg: SystemConfig, stats: ChannelStats,
     repetition scheme sample by sample, since (1 + x)(1 + y) >= 1 + x + y.
     """
     return _df_rate(cfg, stats, spec, Scheme.DF_PARALLEL,
-                    lambda g_sd, g_rd: np.log1p(g_sd) + np.log1p(g_rd))
+                    lambda g_sd, g_rd: np.log1p(g_sd) + np.log1p(g_rd), draws)
 
 
 RATE_FN = {

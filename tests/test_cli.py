@@ -16,6 +16,7 @@ from relayrates import (
     optimal_delta_r,
 )
 from relayrates.cli import THETA_CSV_HEADER, _expand, build_parser, main
+from relayrates.rates import RATE_FN
 
 RATE_ARGS = ["rate", "--scheme", "af", "--m", "50", "--ps", "60", "--pr", "40",
              "--delta-s", "0.1", "--delta-r", "0.1", "--sigma", "1,4,4",
@@ -272,6 +273,49 @@ class TestOptimalTraining:
         expected = af_rate(cfg, ChannelStats(1.0, 4.0, 1.0, 1.0),
                            ExpectationSpec(dims=3, samples=2000, seed=0))
         assert float(fields["rate_nats"]) == expected.value
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_global_delta_draws_once_and_reports_a_standalone_rate(self, capsys, draw_calls,
+                                                                   scheme):
+        code, out, _ = run(capsys, "optimal-training", "--m", "50", "--pr", "40",
+                           "--sigma-rd", "1", "--ps", "60", "--sigma-sd", "1",
+                           "--sigma-sr", "4", "--global-delta", "--scheme", scheme.value,
+                           "--samples", "2000", "--delta-step", "0.05", "--seed", "5")
+        assert code == 0
+        assert sorted(args for args, _ in draw_calls) == [(5, tag, 2000) for tag in range(3)]
+        fields = dict(token.split("=") for token in out.split() if "=" in token)
+        assert fields["evaluations"] == "21"
+        cfg = SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1,
+                           delta_r=float(fields["delta_r_grid"]), scheme=scheme)
+        expected = RATE_FN[scheme](cfg, ChannelStats(1.0, 4.0, 1.0, 1.0),
+                                   ExpectationSpec(dims=3, samples=2000, seed=5))
+        assert fields["rate_nats"] == repr(expected.value)
+
+
+class TestAbbreviations:
+    """Every flag has one spelling: a prefix is rejected, not expanded."""
+
+    def usage_error(self, capsys, *argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        return capsys.readouterr()
+
+    def test_abbreviated_preset_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        captured = self.usage_error(capsys, "sweep-theta", "--scheme", "af", "--p", "100",
+                                    "--m", "50", "--sigma", "1,4,4", "--delta-s", "0.1",
+                                    "--delta-r", "0.1", "--theta-step", "0.5",
+                                    "--samples", "100", "--pres", "fig2", "--out", str(out))
+        assert "unrecognized arguments: --pres fig2" in captured.err
+        assert not out.exists()
+
+    def test_abbreviated_config_is_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=9\n")
+        captured = self.usage_error(capsys, *RATE_ARGS, "--conf", str(config))
+        assert f"unrecognized arguments: --conf {config}" in captured.err
+        assert captured.out == ""
 
 
 class TestConfigFile:

@@ -3,8 +3,12 @@ import math
 import pytest
 
 from relayrates import (
+    W_RD,
+    W_SD,
+    W_SR,
     ChannelStats,
     ExpectationSpec,
+    Method,
     PowerSplit,
     Scheme,
     SystemConfig,
@@ -18,6 +22,7 @@ from relayrates import (
     suboptimal_delta_s,
     theta_sweep,
 )
+from relayrates.rates import RATE_FN, common_draws
 
 HIGH_SNR_LIMIT_M50 = (math.sqrt(96.0) - 2.0) / 46.0  # limit of the closed form as P grows
 
@@ -194,3 +199,74 @@ class TestJointAllocation:
             expected = set(suboptimal_delta_s(50, split.p_s, stats)) if split.p_s > 0 else {0.0}
             assert d_s in expected
             assert len(expected) == 1
+
+
+def _bits(estimate):
+    """Every number of an estimate, as exact hex, with its DF parts."""
+    parts = sorted((name, _bits(part)) for name, part in (estimate.parts or {}).items())
+    return (estimate.value.hex(), estimate.std_error.hex(), estimate.samples,
+            estimate.method, parts)
+
+
+STATS = ChannelStats(1.0, 4.0, 4.0, 1.0)
+MC = ExpectationSpec(dims=3, samples=2_000, seed=53)
+GL = ExpectationSpec(dims=2, method=Method.GAUSS_LAGUERRE, nodes=32)
+STREAMS = [(53, W_SD, 2_000), (53, W_SR, 2_000), (53, W_RD, 2_000)]
+
+
+def _standalone(theta, delta_s, delta_r, scheme, spec):
+    split = PowerSplit(total=100.0, theta=theta)
+    cfg = SystemConfig(m=50, p_s=split.p_s, p_r=split.p_r, delta_s=delta_s,
+                       delta_r=delta_r, scheme=scheme)
+    return RATE_FN[scheme](cfg, STATS, spec)
+
+
+class TestCommonDraws:
+    """A sweep draws its three streams once and rescales them per point."""
+
+    @pytest.mark.parametrize("scheme, spec", [(scheme, MC) for scheme in Scheme] +
+                             [(Scheme.DF_REPETITION, GL), (Scheme.DF_PARALLEL, GL)])
+    def test_sweep_points_equal_standalone_calls(self, scheme, spec):
+        curve = theta_sweep(100.0, STATS, 50, 0.1, 0.1, scheme, spec, grid_step=0.1)
+        assert len(curve) == 11
+        for theta, estimate in curve:
+            assert _bits(estimate) == _bits(_standalone(theta, 0.1, 0.1, scheme, spec))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("grid_step, workers", [(0.1, 1), (0.05, 1), (0.1, 2), (0.05, 8)])
+    def test_sweep_draws_each_stream_once(self, draw_calls, scheme, grid_step, workers):
+        theta_sweep(100.0, STATS, 50, 0.1, 0.1, scheme, MC,
+                    grid_step=grid_step, workers=workers)
+        assert sorted(args for args, _ in draw_calls) == STREAMS
+        assert not any(draws.flags.writeable for _, draws in draw_calls)
+
+    def test_quadrature_sweep_draws_nothing(self, draw_calls):
+        theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.DF_PARALLEL, GL, grid_step=0.1)
+        assert draw_calls == []
+        assert common_draws(GL) == {}
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("theta_step", [0.1, 0.05])
+    def test_joint_allocation_draws_once_and_matches_standalone(self, draw_calls, scheme,
+                                                                 theta_step):
+        theta, d_s, d_r, best = joint_allocation(100.0, STATS, 50, scheme, MC,
+                                                 theta_step=theta_step)
+        assert sorted(args for args, _ in draw_calls) == STREAMS
+        assert _bits(best) == _bits(_standalone(theta, d_s, d_r, scheme, MC))
+
+    def test_shared_draws_are_read_only(self):
+        draws = common_draws(MC)
+        assert sorted(draws) == STREAMS
+        for vector in draws.values():
+            with pytest.raises(ValueError):
+                vector[0] = 1.0
+            with pytest.raises(ValueError):
+                vector *= 2.0
+
+    def test_draws_of_another_spec_change_nothing(self, draw_calls):
+        other = common_draws(ExpectationSpec(dims=3, samples=2_000, seed=54))
+        cfg = SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1, scheme=Scheme.AF)
+        with_other = af_rate(cfg, STATS, MC, draws=other)
+        assert _bits(with_other) == _bits(af_rate(cfg, STATS, MC))
+        # the set lacks seed 53, so that call drew its streams itself
+        assert sorted(args for args, _ in draw_calls[3:6]) == STREAMS
