@@ -4,9 +4,9 @@ The relay's optimal training fraction maximizes the coefficient of |w|^2 in
 the per-link SNR gain and has a closed form. The source fraction has no
 closed form; two candidates (one per outgoing link) are evaluated directly.
 The source/relay power split theta is swept on a grid with common random
-numbers, so comparisons between grid points are free of sampling noise: each
-sweep call generates its three |w|^2 draw vectors once and every grid point
-rescales them by its own gains (3 x samples x 8 bytes held while it runs).
+numbers, free of sampling noise between grid points: a sweep call draws its
+three |w|^2 vectors once (3 x samples x 8 bytes) and every point rescales them
+into one scratch workspace (4 x samples x 8 bytes per worker thread).
 """
 
 from __future__ import annotations
@@ -126,9 +126,10 @@ def theta_sweep(total_power: float, stats: ChannelStats, m: int, delta_s: float,
                 grid_step: float = 0.01, workers: int = 1) -> list[tuple[float, RateEstimate]]:
     """Rate at every theta on the closed grid [0, 1], common random numbers.
 
-    The three |w|^2 draw vectors of ``spec`` are generated once per call and
-    every grid point rescales them by its own gains, so each point equals a
-    standalone rate call bit for bit, for any worker count.
+    The three |w|^2 vectors of ``spec`` are drawn once per call (3 x samples
+    x 8 B); each point rescales them into its thread's scratch (4 x samples
+    x 8 B per worker) and equals a standalone rate call bit for bit, for any
+    worker count.
     """
     if not (0.0 < grid_step <= 1.0):
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")

@@ -13,10 +13,12 @@ Monte Carlo draws come from counter-based Philox streams keyed by
 (seed, role), so identical seeds give identical draws for every scheme and
 every power split (common random numbers), independent of any parallelism
 in the caller. A sweep generates its three draw vectors once per call
-(``common_draws``) and every grid point rescales them by its own gains, bit
-for bit what a standalone rate call computes; the sweep holds
-3 x samples x 8 bytes of draws while it runs. Quadrature (whose weight is
-exactly the exponential density) covers 1-D and 2-D expectations. The module also holds what the optimizer
+(``common_draws``); every grid point rescales them by its own gains into
+the set's scratch, where the integrands compute in place, bit for bit what a
+standalone call (which allocates per call) computes. A sweep holds
+3 x samples x 8 bytes of shared draws plus 4 x samples x 8 bytes of scratch
+per worker thread. Quadrature (weight: the exponential density) covers 1-D
+and 2-D expectations. The module also holds what the optimizer
 and the oracles share: ``RATE_FN``, ``closed_grid`` and the search result.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
@@ -44,7 +47,8 @@ COMBINING = "combining"
 
 # numpy's Gauss-Laguerre rule overflows (NaN weights) from 187 nodes on.
 MAX_NODES = 186
-# A 3-D Monte Carlo call holds a few float64 arrays of this length at once.
+# A standalone 3-D Monte Carlo call holds a few float64 arrays of this length;
+# a sweep holds 3 shared draws plus 4 scratch per thread: 240 MB + 320 MB/thread.
 MAX_SAMPLES = 10**7
 MAX_GRID_POINTS = 1_000_000
 
@@ -166,7 +170,13 @@ def exp_draws(seed: int, tag: int, n: int) -> np.ndarray:
     return stream(seed, tag).standard_exponential(n, method="inv")
 
 
-DrawSet = Mapping[tuple[int, int, int], np.ndarray]
+class DrawSet(dict):
+    """Shared draws keyed by ``(seed, tag, samples)``, plus each thread's scratch."""
+
+    def __init__(self, samples: int = 0):
+        super().__init__()
+        self.samples = samples
+        self.scratch = threading.local()
 
 
 def common_draws(spec: ExpectationSpec) -> DrawSet:
@@ -174,19 +184,30 @@ def common_draws(spec: ExpectationSpec) -> DrawSet:
 
     Keyed by ``(seed, tag, samples)``, the arguments of ``exp_draws``; the
     arrays are read-only. A rate call handed this set rescales the stored
-    vector of each stream it needs and draws only a stream the set lacks,
-    so the set saves work but never changes a value. It holds
-    3 x samples x 8 bytes: 2.4 MB at 10^5 samples, 240 MB at MAX_SAMPLES.
-    Empty unless ``spec`` is Monte Carlo.
+    vector of each stream it needs into the set's scratch and draws only a
+    stream the set lacks, so the set saves work but never changes a value.
+    It holds 3 x samples x 8 bytes of draws plus 4 x samples x 8 bytes of
+    scratch per thread that uses it: 2.4 MB + 3.2 MB at 10^5 samples,
+    240 MB + 320 MB at MAX_SAMPLES. Empty unless ``spec`` is Monte Carlo.
     """
     if spec.method is not Method.MONTE_CARLO:
-        return {}
-    draws = {}
+        return DrawSet()
+    draws = DrawSet(samples=spec.samples)
     for tag in (W_SD, W_SR, W_RD):
         key = (spec.seed, tag, spec.samples)
         draws[key] = exp_draws(*key)
         draws[key].flags.writeable = False
     return draws
+
+
+def _scratch(draws: Mapping | None, spec: ExpectationSpec) -> list[np.ndarray | None]:
+    """This thread's four scratch buffers of a draw set sized for ``spec``, made once
+    so a sweep faults its temporaries in once; Nones (numpy allocates) otherwise."""
+    if not (isinstance(draws, DrawSet) and draws.samples == spec.samples):
+        return [None] * 4
+    if not hasattr(draws.scratch, "buffers"):
+        draws.scratch.buffers = [np.empty(spec.samples) for _ in range(4)]
+    return draws.scratch.buffers
 
 
 @lru_cache(maxsize=8)
@@ -202,16 +223,18 @@ def _expectation(integrand: Callable[..., np.ndarray], coefficients: Sequence[fl
 
     The X_i are independent exponential(1) variables: Monte Carlo takes
     X_i from stream ``tags[i]`` (from ``draws`` when it holds the stream,
-    else drawn now) and scales it by c_i; Gauss-Laguerre (k <= 2) evaluates
-    the tensor rule. The mean must be finite and lie within the sampled
-    values.
+    else drawn now) and scales it by c_i into a ``DrawSet``'s scratch or a new
+    array; Gauss-Laguerre (k <= 2) evaluates the tensor rule. The integrand
+    may overwrite its arrays. The mean must be finite and within the samples.
     """
     if spec.method is Method.MONTE_CARLO:
         n = spec.samples
+        scratch = _scratch(draws, spec)
         draws = draws or {}
         streams = [(spec.seed, tag, n) for tag in tags]
-        values = np.asarray(integrand(*[c * (draws[key] if key in draws else exp_draws(*key))
-                                        for c, key in zip(coefficients, streams)]), dtype=float)
+        values = np.asarray(integrand(*[
+            np.multiply(c, draws[key] if key in draws else exp_draws(*key), out=buf)
+            for c, key, buf in zip(coefficients, streams, scratch)]), dtype=float)
         if values.shape != (n,):
             raise ValueError("integrand must map (n,) arrays to an (n,) array")
         mean = float(values.mean())
@@ -224,8 +247,8 @@ def _expectation(integrand: Callable[..., np.ndarray], coefficients: Sequence[fl
         else:
             shape = w2.shape
             c_i, c_j = coefficients
-            values = np.asarray(integrand(np.broadcast_to(c_i * x[:, None], shape),
-                                          np.broadcast_to(c_j * x[None, :], shape)), dtype=float)
+            values = np.asarray(integrand(c_i * np.broadcast_to(x[:, None], shape),
+                                          c_j * np.broadcast_to(x[None, :], shape)), dtype=float)
             mean = float(np.sum(w2 * values))
         std_error = 0.0
     lo, hi = float(np.min(values)), float(np.max(values))
@@ -281,25 +304,35 @@ def snr_gain_g(a: float, b: float, c: float, n0: float, m: int, w_sq) -> np.ndar
     return float(out) if out.ndim == 0 else out
 
 
+def _combine(x: np.ndarray, y: np.ndarray, out=None, spare=None):
+    # f_combiner's formula, into ``out`` with the denominator in ``spare``
+    if np.any(x < 0.0) or np.any(y < 0.0):
+        raise ValueError("f_combiner arguments must be nonnegative")
+    den = np.add(1.0, np.add(x, y, out=spare), out=spare)
+    return np.divide(np.multiply(x, y, out=out), den, out=out)
+
+
 def f_combiner(x, y):
     """End-to-end SNR of a two-hop amplified link: x*y / (1 + (x + y)).
 
     ``x + y`` is summed first so that the result is symmetric in its
     arguments bit for bit.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x < 0.0) or np.any(y < 0.0):
-        raise ValueError("f_combiner arguments must be nonnegative")
-    out = x * y / (1.0 + (x + y))
+    out = _combine(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
 def _gains(cfg: SystemConfig, stats: ChannelStats):
     """Per-link gain coefficients (sd, sr, rd); the config and stats validated the inputs."""
-    return (_gain_coefficient(cfg.delta_s, cfg.p_s, stats.sigma_sd, stats.n0, cfg.m),
-            _gain_coefficient(cfg.delta_s, cfg.p_s, stats.sigma_sr, stats.n0, cfg.m),
-            _gain_coefficient(cfg.delta_r, cfg.p_r, stats.sigma_rd, stats.n0, cfg.m))
+    gains = []
+    for link, delta, power in (("sd", cfg.delta_s, "p_s"), ("sr", cfg.delta_s, "p_s"),
+                               ("rd", cfg.delta_r, "p_r")):
+        p, sigma = getattr(cfg, power), getattr(stats, f"sigma_{link}")
+        gains.append(_gain_coefficient(delta, p, sigma, stats.n0, cfg.m))
+        if not math.isfinite(gains[-1]):
+            raise ValueError(f"{link} link gain is not finite at {power}={p!r}, "
+                             f"sigma_{link}={sigma!r}")
+    return tuple(gains)
 
 
 def _rate(integrand, coefficients, tags, m: int, spec: ExpectationSpec,
@@ -330,10 +363,12 @@ def af_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
     exponential draws of the three |w|^2 variables. Monte Carlo only; the
     3-D expectation has no quadrature route here (the matrix-form oracle is
     the cross-check). ``draws`` (from ``common_draws``) lets a sweep skip
-    the draw; the value is the same without it.
+    the draw and reuse its scratch; the value is the same without it.
     """
     _require(cfg, spec, Scheme.AF)
-    return _rate(lambda g_sd, g_sr, g_rd: np.log1p(g_sd + f_combiner(g_sr, g_rd)),
+    spare = _scratch(draws, spec)[3]
+    return _rate(lambda g_sd, g_sr, g_rd: np.log1p(
+                     np.add(g_sd, _combine(g_sr, g_rd, g_sr, spare), out=g_sd), out=g_sd),
                  _gains(cfg, stats), (W_SD, W_SR, W_RD), cfg.m, spec, draws)
 
 
@@ -343,7 +378,7 @@ def _df_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec,
     _require(cfg, spec, scheme)
     c_sd, c_sr, c_rd = _gains(cfg, stats)
     parts = {
-        RELAY_DECODING: _rate(np.log1p, (c_sr,), (W_SR,), cfg.m, spec, draws),
+        RELAY_DECODING: _rate(lambda g: np.log1p(g, out=g), (c_sr,), (W_SR,), cfg.m, spec, draws),
         COMBINING: _rate(combining, (c_sd, c_rd), (W_SD, W_RD), cfg.m, spec, draws),
     }
     return replace(min(parts.values(), key=lambda r: r.value), parts=parts)
@@ -357,7 +392,7 @@ def df_repetition_rate(cfg: SystemConfig, stats: ChannelStats, spec: Expectation
     (m-2)/(2m) * E[ log(1 + g_sd + g_rd) ]; both appear in ``parts``.
     """
     return _df_rate(cfg, stats, spec, Scheme.DF_REPETITION,
-                    lambda g_sd, g_rd: np.log1p(g_sd + g_rd), draws)
+                    lambda g_sd, g_rd: np.log1p(np.add(g_sd, g_rd, out=g_sd), out=g_sd), draws)
 
 
 def df_parallel_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
@@ -369,7 +404,8 @@ def df_parallel_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSp
     repetition scheme sample by sample, since (1 + x)(1 + y) >= 1 + x + y.
     """
     return _df_rate(cfg, stats, spec, Scheme.DF_PARALLEL,
-                    lambda g_sd, g_rd: np.log1p(g_sd) + np.log1p(g_rd), draws)
+                    lambda g_sd, g_rd: np.add(np.log1p(g_sd, out=g_sd), np.log1p(g_rd, out=g_rd),
+                                              out=g_sd), draws)
 
 
 RATE_FN = {

@@ -101,6 +101,8 @@ class TestRateCommand:
             (["--p", "100", "--theta", "1.5", "--sigma", "1,4,4"], "theta"),
             (["--ps", "60", "--pr", "40", "--sigma", "1,4,4", "--samples", "10000000000"],
              "samples"),
+            # b*b overflows in the gain coefficient
+            (["--p", "1e300", "--theta", "0.5", "--sigma", "1,4,4"], "p_s=5e+299"),
         ]
         for extra, named in cases:
             code, _, err = run(capsys, *common, *extra)

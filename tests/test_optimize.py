@@ -1,7 +1,13 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relayrates
 from relayrates import (
     W_RD,
     W_SD,
@@ -22,7 +28,7 @@ from relayrates import (
     suboptimal_delta_s,
     theta_sweep,
 )
-from relayrates.rates import RATE_FN, common_draws
+from relayrates.rates import RATE_FN, common_draws, exp_draws
 
 HIGH_SNR_LIMIT_M50 = (math.sqrt(96.0) - 2.0) / 46.0  # limit of the closed form as P grows
 
@@ -210,6 +216,7 @@ def _bits(estimate):
 
 STATS = ChannelStats(1.0, 4.0, 4.0, 1.0)
 MC = ExpectationSpec(dims=3, samples=2_000, seed=53)
+MC_FULL = ExpectationSpec(dims=3, samples=100_000, seed=53)
 GL = ExpectationSpec(dims=2, method=Method.GAUSS_LAGUERRE, nodes=32)
 STREAMS = [(53, W_SD, 2_000), (53, W_SR, 2_000), (53, W_RD, 2_000)]
 
@@ -270,3 +277,66 @@ class TestCommonDraws:
         assert _bits(with_other) == _bits(af_rate(cfg, STATS, MC))
         # the set lacks seed 53, so that call drew its streams itself
         assert sorted(args for args, _ in draw_calls[3:6]) == STREAMS
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_threaded_sweep_points_equal_standalone_calls(self, scheme, workers):
+        # worker threads share one draw set, each with its own scratch; a short
+        # switch interval makes a shared buffer show up as a changed bit
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            curve = theta_sweep(100.0, STATS, 50, 0.1, 0.1, scheme, MC_FULL,
+                                grid_step=0.1, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(curve) == 11
+        for theta, estimate in curve:
+            assert _bits(estimate) == _bits(_standalone(theta, 0.1, 0.1, scheme, MC_FULL))
+
+    def test_sweeps_leave_the_shared_draws_untouched(self, draw_calls):
+        theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF, MC_FULL, grid_step=0.1, workers=2)
+        joint_allocation(100.0, STATS, 50, Scheme.AF, MC_FULL, theta_step=0.1)
+        assert len(draw_calls) == 6
+        for args, shared in draw_calls:
+            assert not shared.flags.writeable
+            assert (hashlib.sha256(shared.tobytes()).hexdigest()
+                    == hashlib.sha256(exp_draws(*args).tobytes()).hexdigest())
+
+
+FAULT_PROBE = """
+import resource
+from relayrates import ChannelStats, ExpectationSpec, Scheme, theta_sweep
+
+stats = ChannelStats(1.0, 4.0, 4.0, 1.0)
+spec = ExpectationSpec(dims=3, samples=100_000, seed=53)
+for scheme in Scheme:
+    theta_sweep(100.0, stats, 50, 0.1, 0.1, scheme, spec, grid_step=0.05)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    curve = theta_sweep(100.0, stats, 50, 0.1, 0.1, scheme, spec, grid_step=0.05)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    print(scheme.value, len(curve), after - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts Linux minor page faults")
+def test_sweep_points_reuse_their_scratch_pages():
+    """A 10^5-sample sweep point must not fault its temporaries in afresh.
+
+    Freed 800 KB temporaries go back to the OS, so a point that allocates
+    them takes about a thousand minor faults; one that reuses the sweep's
+    scratch takes a few dozen. The probe runs in a fresh interpreter with
+    the allocator's tuning variables removed, so none can mask a regression.
+    """
+    pytest.importorskip("resource")
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+    package_root = str(Path(relayrates.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, check=True,
+                           capture_output=True, text=True)
+    for line in probe.stdout.splitlines():
+        scheme, points, faults = line.split()
+        assert int(points) == 21
+        assert int(faults) / int(points) <= 200, line
