@@ -57,42 +57,3 @@ from .rates import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllocationResult",
-    "COMBINING",
-    "ChannelStats",
-    "EstimationQuality",
-    "ExpectationSpec",
-    "Method",
-    "PowerSplit",
-    "RELAY_DECODING",
-    "RateEstimate",
-    "Scheme",
-    "SystemConfig",
-    "VectorChannelSample",
-    "W_RD",
-    "W_SD",
-    "W_SR",
-    "af_rate",
-    "af_rate_logdet",
-    "closed_grid",
-    "data_symbol_energy",
-    "df_parallel_rate",
-    "df_repetition_rate",
-    "exp_draws",
-    "expect_over_exponentials",
-    "f_combiner",
-    "grid_argmax",
-    "joint_allocation",
-    "logdet_integrand",
-    "max_identity_gap",
-    "mmse_quality",
-    "optimal_delta_r",
-    "optimize_theta",
-    "simulate_training_quality",
-    "snr_gain_g",
-    "snr_gain_g_coefficient",
-    "suboptimal_delta_s",
-    "theta_sweep",
-    "vector_channel_samples",
-]

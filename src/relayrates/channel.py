@@ -12,7 +12,39 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
+
+# The one wording of a rejected argument: its name, its rule and repr(value).
+_REJECTED = "{} must be {}, got {!r}"
+
+
+def check_real(name: str, value, lo: float = 0.0, hi: float = math.inf, *,
+               open_lo: bool = False) -> None:
+    """Reject ``value`` unless it is finite and in [lo, hi], or in (lo, hi] with ``open_lo``."""
+    if not ((lo < value if open_lo else lo <= value) and value <= hi and math.isfinite(value)):
+        left, right = "(" if open_lo or lo == -math.inf else "[", "]" if hi < math.inf else ")"
+        raise ValueError(_REJECTED.format(name, f"a real number in {left}{lo:g}, {hi:g}{right}",
+                                          value))
+
+
+def check_int(name: str, value, lo: int, hi: int | None = None, *, even: bool = False) -> None:
+    """Reject ``value`` unless it is an integer, not a bool, in [lo, hi] (even with ``even``)."""
+    # type() first: numbers.Integral is an ABC lookup, and a rate call makes about twenty checks
+    ok = type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (ok and lo <= value and (hi is None or value <= hi) and not (even and value % 2)):
+        kind = "an even integer" if even else "an integer"
+        span = f"[{lo}, inf)" if hi is None else f"[{lo}, {hi}]"
+        raise ValueError(_REJECTED.format(name, f"{kind} in {span}", value))
+
+
+def _check_link(sigma, delta, m: int, p, n0, names=("sigma", "delta", "p")) -> None:
+    # the inputs of one pilot-trained link: mmse_quality, its oracle and snr_gain_g
+    check_real(names[0], sigma)
+    check_real(names[1], delta, hi=1.0)
+    check_real(names[2], p)
+    check_real("n0", n0, open_lo=True)
+    check_int("m", m, 6, even=True)
 
 
 class Scheme(enum.Enum):
@@ -38,9 +70,7 @@ class ChannelStats:
 
     def __post_init__(self) -> None:
         for name in ("sigma_sd", "sigma_sr", "sigma_rd", "n0"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            check_real(name, getattr(self, name), open_lo=True)
 
 
 @dataclass(frozen=True)
@@ -60,18 +90,9 @@ class SystemConfig:
     scheme: Scheme
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or isinstance(self.m, bool):
-            raise ValueError(f"m must be an integer, got {self.m!r}")
-        if self.m < 6 or self.m % 2 != 0:
-            raise ValueError(f"m must be even and >= 6, got {self.m}")
-        for name in ("p_s", "p_r"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
-        for name in ("delta_s", "delta_r"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        check_int("m", self.m, 6, even=True)
+        for name, hi in (("p_s", math.inf), ("p_r", math.inf), ("delta_s", 1.0), ("delta_r", 1.0)):
+            check_real(name, getattr(self, name), hi=hi)
         if not isinstance(self.scheme, Scheme):
             raise ValueError(f"scheme must be a Scheme member, got {self.scheme!r}")
 
@@ -94,10 +115,8 @@ class EstimationQuality:
     var_error: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.var_estimate) and self.var_estimate >= 0.0):
-            raise ValueError(f"var_estimate must be nonnegative, got {self.var_estimate}")
-        if not (math.isfinite(self.var_error) and self.var_error >= 0.0):
-            raise ValueError(f"var_error must be nonnegative, got {self.var_error}")
+        check_real("var_estimate", self.var_estimate)
+        check_real("var_error", self.var_error)
 
 
 def mmse_quality(sigma: float, delta: float, m: int, p: float, n0: float) -> EstimationQuality:
@@ -111,22 +130,16 @@ def mmse_quality(sigma: float, delta: float, m: int, p: float, n0: float) -> Est
     ``sigma = 0`` is accepted (deterministic zero channel, both variances 0);
     ``delta = 0`` means no pilot, so the estimate is the prior mean.
     """
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
-    if not (math.isfinite(n0) and n0 > 0.0):
-        raise ValueError(f"n0 must be positive and finite, got {n0}")
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ValueError(f"p must be nonnegative and finite, got {p}")
-    if m < 6:
-        raise ValueError(f"m must be >= 6, got {m}")
+    _check_link(sigma, delta, m, p, n0)
 
     s2 = sigma * sigma
     pilot_energy = delta * m * p
     denom = s2 * pilot_energy + n0
     var_error = s2 * n0 / denom
     var_estimate = s2 * s2 * pilot_energy / denom
+    if not (math.isfinite(var_estimate) and math.isfinite(var_error)):
+        raise ValueError(f"the variance split overflows at sigma={sigma!r}, delta={delta!r}, "
+                         f"m={m!r}, p={p!r}, n0={n0!r}")
     return EstimationQuality(var_estimate=var_estimate, var_error=var_error)
 
 
@@ -137,12 +150,12 @@ def data_symbol_energy(delta: float, m: int, p: float) -> float:
     ``(1 - delta) * m * p`` for the data half-block, i.e.
     ``2 * (1 - delta) * m * p / (m - 2)`` per symbol.
     """
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ValueError(f"p must be nonnegative and finite, got {p}")
+    check_real("delta", delta, hi=1.0)
+    check_real("p", p)
     # m = 4 is tolerated here (single data symbol per half); SystemConfig is
     # stricter and requires m >= 6.
-    if m < 4 or m % 2 != 0:
-        raise ValueError(f"m must be even and >= 4, got {m}")
-    return 2.0 * (1.0 - delta) * m * p / (m - 2.0)
+    check_int("m", m, 4, even=True)
+    energy = 2.0 * (1.0 - delta) * m * p / (m - 2.0)
+    if not math.isfinite(energy):
+        raise ValueError(f"data symbol energy overflows at delta={delta!r}, m={m!r}, p={p!r}")
+    return energy

@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .channel import ChannelStats, Scheme, SystemConfig, mmse_quality
+from .channel import ChannelStats, Scheme, SystemConfig, check_int, mmse_quality
 from .oracle import (
     af_rate_logdet,
     grid_argmax,
@@ -250,8 +250,7 @@ def cmd_sweep_theta(args) -> int:
     else:
         triples = list(preset.sigma_triples)
         if args.curve is not None:
-            if not 1 <= args.curve <= len(triples):
-                raise ValueError(f"--curve must be in 1..{len(triples)}")
+            check_int("--curve", args.curve, 1, len(triples))
             triples = [triples[args.curve - 1]]
 
     spec = _expectation_spec(args)

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .channel import ChannelStats, Scheme, SystemConfig
+from .channel import ChannelStats, Scheme, SystemConfig, check_int, check_real
 from .rates import (
     RATE_FN,
     AllocationResult,
@@ -38,10 +38,8 @@ class PowerSplit:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.total) and self.total >= 0.0):
-            raise ValueError(f"total power must be nonnegative, got {self.total}")
-        if not (0.0 <= self.theta <= 1.0):
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
+        check_real("total", self.total)
+        check_real("theta", self.theta, hi=1.0)
 
     @property
     def p_s(self) -> float:
@@ -58,35 +56,33 @@ def optimal_delta_r(m: int, p: float, sigma: float, n0: float) -> float:
 
     Cross-validated on every call against a cheap vectorized grid search of
     the coefficient itself; disagreement beyond 1e-3 raises, so a wrong root
-    can never propagate silently into sweeps.
+    can never propagate silently into sweeps. Where the closed form or the
+    grid overflows, or a denominator underflows to 0, the ValueError names
+    the inputs.
     """
-    if m < 6:
-        raise ValueError(f"m must be >= 6, got {m}")
+    check_int("m", m, 6, even=True)
     for name, value in (("p", p), ("sigma", sigma), ("n0", n0)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-
-    s2 = sigma * sigma
-    disc = (-4.0 * m**2 * p**2 * s2**2 - 2.0 * m**2 * p * s2 * n0 + m**2 * n0**2
-            - 4.0 * m * n0**2 + 4.0 * n0**2 + 2.0 * m**3 * p**2 * s2**2 + m**3 * p * s2 * n0)
-    if disc < 0.0:
-        raise ValueError(f"negative discriminant for m={m}, p={p}, sigma={sigma}, n0={n0}")
-    numerator = -4.0 * m * p * s2 - 2.0 * m * n0 + 4.0 * n0 + 2.0 * math.sqrt(disc)
-    denominator = -4.0 * m * p * s2 + m * m * p * s2
-    delta = 0.5 * numerator / denominator
-    if not (0.0 < delta < 1.0):
-        raise ValueError(
-            f"closed form left (0, 1): delta={delta} for m={m}, p={p}, sigma={sigma}, n0={n0}"
-        )
+        check_real(name, value, open_lo=True)
 
     grid = np.arange(0.0, 1.0 + 5e-4, 5e-4)
-    coefficients = snr_gain_g_coefficient(grid, p, sigma, n0, m)
-    reference = float(grid[int(np.argmax(coefficients))])
-    if abs(delta - reference) > 1e-3:
-        raise ArithmeticError(
-            f"closed form {delta} disagrees with grid reference {reference} "
-            f"for m={m}, p={p}, sigma={sigma}, n0={n0}"
-        )
+    delta = reference = math.nan
+    try:
+        s2 = sigma * sigma
+        disc = (-4.0 * m**2 * p**2 * s2**2 - 2.0 * m**2 * p * s2 * n0 + m**2 * n0**2
+                - 4.0 * m * n0**2 + 4.0 * n0**2 + 2.0 * m**3 * p**2 * s2**2 + m**3 * p * s2 * n0)
+        numerator = -4.0 * m * p * s2 - 2.0 * m * n0 + 4.0 * n0 + 2.0 * math.sqrt(disc)
+        denominator = -4.0 * m * p * s2 + m * m * p * s2
+        delta = 0.5 * numerator / denominator
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            coefficients = snr_gain_g_coefficient(grid, p, sigma, n0, m)
+        reference = float(grid[int(np.argmax(coefficients))])
+    except (ArithmeticError, ValueError):  # the value that failed stays NaN; ValueError: disc < 0
+        pass
+    where = f"for m={m}, p={p}, sigma={sigma}, n0={n0}"
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"closed form left (0, 1): delta={delta} {where}")
+    if not abs(delta - reference) <= 1e-3:
+        raise ValueError(f"closed form {delta} disagrees with grid reference {reference} {where}")
     return delta
 
 
@@ -131,10 +127,8 @@ def theta_sweep(total_power: float, stats: ChannelStats, m: int, delta_s: float,
     x 8 B per worker) and equals a standalone rate call bit for bit, for any
     worker count.
     """
-    if not (0.0 < grid_step <= 1.0):
-        raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_real("grid_step", grid_step, hi=1.0, open_lo=True)
+    check_int("workers", workers, 1)
     thetas = closed_grid(0.0, 1.0, grid_step)
     draws = common_draws(spec)
 
@@ -153,8 +147,7 @@ def optimize_theta(total_power: float, stats: ChannelStats, m: int, delta_s: flo
                    delta_r: float, scheme: Scheme, spec: ExpectationSpec,
                    grid_step: float = 0.01, workers: int = 1) -> AllocationResult:
     """Best power split on the theta grid (ties to the smaller theta)."""
-    if not (0.0 < grid_step <= 0.1):
-        raise ValueError(f"grid_step must be in (0, 0.1], got {grid_step}")
+    check_real("grid_step", grid_step, hi=0.1, open_lo=True)
     curve = theta_sweep(total_power, stats, m, delta_s, delta_r, scheme, spec,
                         grid_step=grid_step, workers=workers)
     best_theta, best_rate = max(curve, key=lambda point: (point[1].value, -point[0]))
@@ -173,8 +166,7 @@ def joint_allocation(total_power: float, stats: ChannelStats, m: int, scheme: Sc
     of the best triple; at the endpoints the powerless node's fraction is
     pinned to 0.
     """
-    if not (math.isfinite(total_power) and total_power > 0.0):
-        raise ValueError(f"total power must be positive, got {total_power}")
+    check_real("total_power", total_power, open_lo=True)
     thetas = closed_grid(0.0, 1.0, theta_step)
     draws = common_draws(spec)
     best: tuple[float, float, float, RateEstimate] | None = None

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelStats, EstimationQuality, Scheme, SystemConfig, data_symbol_energy, mmse_quality
+from .channel import (ChannelStats, EstimationQuality, Scheme, SystemConfig, _check_link,
+                      check_int, check_real, data_symbol_energy, mmse_quality)
 from .rates import (
     AllocationResult,
     ExpectationSpec,
@@ -72,16 +73,8 @@ def simulate_training_quality(sigma: float, delta: float, m: int, p: float, n0: 
     returned pair is empirical; it matches :func:`relayrates.channel.mmse_quality`
     only within sampling error (about var/sqrt(trials)).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
-    if not (math.isfinite(n0) and n0 > 0.0):
-        raise ValueError(f"n0 must be positive and finite, got {n0}")
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ValueError(f"p must be nonnegative and finite, got {p}")
+    check_int("trials", trials, 1)
+    _check_link(sigma, delta, m, p, n0)
 
     s2 = sigma * sigma
     pilot = math.sqrt(delta * m * p)
@@ -101,6 +94,7 @@ def _vector_channel(cfg: SystemConfig, stats: ChannelStats, seed: int, n: int):
     power limit, A (n, 2), the mixed-noise covariance (n, 2, 2) and the
     energy moments (ex_s, ex_r, ez_r, ez_d, ez_dr).
     """
+    check_int("count", n, 0)
     q_sd = mmse_quality(stats.sigma_sd, cfg.delta_s, cfg.m, cfg.p_s, stats.n0)
     q_sr = mmse_quality(stats.sigma_sr, cfg.delta_s, cfg.m, cfg.p_s, stats.n0)
     q_rd = mmse_quality(stats.sigma_rd, cfg.delta_r, cfg.m, cfg.p_r, stats.n0)
@@ -154,6 +148,7 @@ def vector_channel_samples(cfg: SystemConfig, stats: ChannelStats, seed: int,
 
 def logdet_integrand(sample: VectorChannelSample, signal_energy: float) -> float:
     """log det(I + E|x|^2 * A A^H * Cov^-1) for one vector-channel draw."""
+    check_real("signal_energy", signal_energy)
     return float(_logdet(signal_energy, sample.a_vec[None], sample.noise_cov[None])[0])
 
 
@@ -206,11 +201,8 @@ def grid_argmax(objective, lo: float, hi: float, step: float) -> AllocationResul
     Ties resolve to the smallest argument. Non-finite objective values abort
     with the offending argument in the message.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if not (0.0 < step <= (hi - lo) / 10.0):
-        raise ValueError(f"step must be in (0, (hi-lo)/10], got {step}")
     grid = closed_grid(lo, hi, step)
+    check_real("step", step, hi=(hi - lo) / 10.0, open_lo=True)
 
     values = np.array([float(objective(x)) for x in grid])
     if not np.all(np.isfinite(values)):

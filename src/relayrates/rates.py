@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channel import ChannelStats, Scheme, SystemConfig
+from .channel import ChannelStats, Scheme, SystemConfig, _check_link, check_int, check_real
 
 # Stream tags for the three normalized fading magnitudes. Sharing a tag across
 # schemes is what makes rate comparisons use common random numbers.
@@ -78,18 +78,13 @@ class ExpectationSpec:
     nodes: int = 64
 
     def __post_init__(self) -> None:
-        if self.dims not in (1, 2, 3):
-            raise ValueError(f"dims must be 1, 2 or 3, got {self.dims}")
-        if not 1 <= self.samples <= MAX_SAMPLES:
-            raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}], got {self.samples}")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
-        if self.method is Method.GAUSS_LAGUERRE and self.dims > 2:
-            raise ValueError("Gauss-Laguerre quadrature supports dims <= 2 only")
+        gl = self.method is Method.GAUSS_LAGUERRE
+        check_int("Gauss-Laguerre dims" if gl else "dims", self.dims, 1, 2 if gl else 3)
+        check_int("samples", self.samples, 1, MAX_SAMPLES)
+        check_int("seed", self.seed, 0, 2**64 - 1)
         if self.method is Method.CLOSED_FORM:
             raise ValueError("CLOSED_FORM tags results; it is not an expectation method")
-        if not 8 <= self.nodes <= MAX_NODES:
-            raise ValueError(f"nodes must lie in [8, {MAX_NODES}], got {self.nodes}")
+        check_int("nodes", self.nodes, 8, MAX_NODES)
 
 
 @dataclass(frozen=True)
@@ -107,12 +102,10 @@ class RateEstimate:
     parts: Mapping[str, "RateEstimate"] | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise ValueError(f"rate value must be nonnegative and finite, got {self.value}")
-        if not (math.isfinite(self.std_error) and self.std_error >= 0.0):
-            raise ValueError(f"std_error must be nonnegative, got {self.std_error}")
-        if self.method is not Method.MONTE_CARLO and self.std_error != 0.0:
-            raise ValueError("deterministic methods must report std_error = 0")
+        check_real("value", self.value)
+        sampled = self.method is Method.MONTE_CARLO
+        check_real("std_error" if sampled else "std_error of a deterministic method",
+                   self.std_error, hi=math.inf if sampled else 0.0)
 
     @property
     def binding(self) -> str | None:
@@ -138,15 +131,14 @@ def closed_grid(lo: float, hi: float, step: float) -> list[float]:
     values. The point count is checked against ``MAX_GRID_POINTS`` before
     any point is built.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    if count > MAX_GRID_POINTS:
-        raise ValueError(f"step {step} asks for {count} points on [{lo}, {hi}]; "
+    check_real("lo", lo, -math.inf)
+    check_real("hi", hi, lo, open_lo=True)
+    check_real("step", step, open_lo=True)
+    steps = (hi - lo) / step + 1e-9  # inf for a tiny step, so compared before int()
+    if not steps < MAX_GRID_POINTS:
+        raise ValueError(f"step {step} asks for {steps + 1:.0f} points on [{lo}, {hi}]; "
                          f"at most {MAX_GRID_POINTS} are allowed")
-    grid = [round(lo + i * step, 10) for i in range(count)]
+    grid = [round(lo + i * step, 10) for i in range(int(math.floor(steps)) + 1)]
     grid[0] = lo
     if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
         grid.append(hi)
@@ -156,7 +148,9 @@ def closed_grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def stream(seed: int, tag: int) -> np.random.Generator:
-    """Counter-based generator for one (seed, role) pair."""
+    """Counter-based generator for one (seed, role) pair, both unsigned 64-bit integers."""
+    check_int("seed", seed, 0, 2**64 - 1)
+    check_int("tag", tag, 0, 2**64 - 1)
     key = np.array([seed, tag], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -167,6 +161,7 @@ def exp_draws(seed: int, tag: int, n: int) -> np.ndarray:
     Inversion sampling consumes exactly one uniform per draw, so sample i of
     a given (seed, tag) stream is the same value in every context.
     """
+    check_int("n", n, 0, MAX_SAMPLES)
     return stream(seed, tag).standard_exponential(n, method="inv")
 
 
@@ -276,6 +271,24 @@ def _gain_coefficient(a, b, c, n0, m):
     return num / den
 
 
+def _finite_gain(a, b, c, n0, m, names: tuple[str, str, str], link: str) -> float:
+    # the coefficient at scalar inputs; a ValueError names them where it is not finite
+    try:
+        gain = _gain_coefficient(a, b, c, n0, m)
+    except ZeroDivisionError:  # the denominator underflowed to 0
+        gain = math.nan
+    if not math.isfinite(gain):
+        raise ValueError(f"{link} gain is not finite at {names[0]}={a!r}, {names[1]}={b!r}, "
+                         f"{names[2]}={c!r}, n0={n0!r}, m={m!r}")
+    return gain
+
+
+def _check_each(name: str, values: np.ndarray, ok, hi: float = math.inf) -> None:
+    # an array's check_real(name, v, 0, hi), on the first v failing the caller's test ``ok``
+    if not np.all(ok):
+        check_real(name, float(values[~ok].flat[0]), 0.0, hi)
+
+
 def snr_gain_g(a: float, b: float, c: float, n0: float, m: int, w_sq) -> np.ndarray | float:
     """Effective post-training SNR of one link, as a multiple of |w|^2.
 
@@ -287,27 +300,20 @@ def snr_gain_g(a: float, b: float, c: float, n0: float, m: int, w_sq) -> np.ndar
         ---------------------------------------------
         2 (1-a) m b c^2 n0 + (m-2) (c^2 a m b + n0) n0
     """
-    if not (0.0 <= a <= 1.0):
-        raise ValueError(f"training fraction must lie in [0, 1], got {a}")
-    if not (math.isfinite(b) and b >= 0.0):
-        raise ValueError(f"power must be nonnegative and finite, got {b}")
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError(f"fading std must be nonnegative and finite, got {c}")
-    if not (math.isfinite(n0) and n0 > 0.0):
-        raise ValueError(f"n0 must be positive and finite, got {n0}")
-    if m < 6:
-        raise ValueError(f"m must be >= 6, got {m}")
+    _check_link(c, a, m, b, n0, names=("c", "a", "b"))
+    gain = _finite_gain(a, b, c, n0, m, ("a", "b", "c"), "snr")
+    hi = np.finfo(float).max / max(gain, 1.0)  # keeps gain * w_sq finite
     w_sq = np.asarray(w_sq, dtype=float)
-    if np.any(w_sq < 0.0):
-        raise ValueError("w_sq must be nonnegative")
-    out = _gain_coefficient(a, b, c, n0, m) * w_sq
+    _check_each("w_sq", w_sq, (w_sq >= 0.0) & (w_sq <= hi), hi)
+    out = gain * w_sq
     return float(out) if out.ndim == 0 else out
 
 
 def _combine(x: np.ndarray, y: np.ndarray, out=None, spare=None):
-    # f_combiner's formula, into ``out`` with the denominator in ``spare``
-    if np.any(x < 0.0) or np.any(y < 0.0):
-        raise ValueError("f_combiner arguments must be nonnegative")
+    # f_combiner's formula, into ``out`` with the denominator in ``spare``; one
+    # comparison pass per argument, which NaN fails too
+    _check_each("x", x, x >= 0.0)
+    _check_each("y", y, y >= 0.0)
     den = np.add(1.0, np.add(x, y, out=spare), out=spare)
     return np.divide(np.multiply(x, y, out=out), den, out=out)
 
@@ -318,21 +324,20 @@ def f_combiner(x, y):
     ``x + y`` is summed first so that the result is symmetric in its
     arguments bit for bit.
     """
-    out = _combine(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    _check_each("x", x, np.isfinite(x))
+    _check_each("y", y, np.isfinite(y))
+    out = _combine(x, y)
     return float(out) if out.ndim == 0 else out
 
 
 def _gains(cfg: SystemConfig, stats: ChannelStats):
     """Per-link gain coefficients (sd, sr, rd); the config and stats validated the inputs."""
-    gains = []
-    for link, delta, power in (("sd", cfg.delta_s, "p_s"), ("sr", cfg.delta_s, "p_s"),
-                               ("rd", cfg.delta_r, "p_r")):
-        p, sigma = getattr(cfg, power), getattr(stats, f"sigma_{link}")
-        gains.append(_gain_coefficient(delta, p, sigma, stats.n0, cfg.m))
-        if not math.isfinite(gains[-1]):
-            raise ValueError(f"{link} link gain is not finite at {power}={p!r}, "
-                             f"sigma_{link}={sigma!r}")
-    return tuple(gains)
+    links = (("sd", "delta_s", "p_s"), ("sr", "delta_s", "p_s"), ("rd", "delta_r", "p_r"))
+    return tuple(_finite_gain(getattr(cfg, fraction), getattr(cfg, power),
+                              getattr(stats, f"sigma_{link}"), stats.n0, cfg.m,
+                              (fraction, power, f"sigma_{link}"), f"{link} link")
+                 for link, fraction, power in links)
 
 
 def _rate(integrand, coefficients, tags, m: int, spec: ExpectationSpec,
@@ -347,12 +352,10 @@ def _rate(integrand, coefficients, tags, m: int, spec: ExpectationSpec,
 def _require(cfg: SystemConfig, spec: ExpectationSpec, scheme: Scheme) -> None:
     if cfg.scheme is not scheme:
         raise ValueError(f"config scheme is {cfg.scheme}, expected {scheme}")
-    if spec.method is Method.MONTE_CARLO and spec.dims != 3:
-        raise ValueError("rate evaluation integrates over three fading magnitudes; use dims=3")
     if spec.method is Method.GAUSS_LAGUERRE and scheme is Scheme.AF:
         raise ValueError("af_rate requires Monte Carlo (3-D expectation)")
-    if spec.method is Method.GAUSS_LAGUERRE and spec.dims != 2:
-        raise ValueError("quadrature DF evaluation is 2-D; use dims=2")
+    dims = 3 if spec.method is Method.MONTE_CARLO else 2  # all three magnitudes, or DF's two
+    check_int(f"dims of a {spec.method.value} rate", spec.dims, dims, dims)
 
 
 def af_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,

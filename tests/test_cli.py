@@ -175,6 +175,8 @@ class TestSweepTheta:
             # there is none to pick
             (["--m", "50", "--sigma", "1,4,4", "--curve", "2"], "--curve"),
             (["--preset", "fig2", "--sigma", "1,4,4", "--curve", "2"], "--curve"),
+            # the point count overflows to inf; the budget check must still catch it
+            (["--m", "50", "--sigma", "1,4,4", "--theta-step", "5e-324"], "step 5e-324"),
         ]
         for extra, named in cases:
             code, _, err = run(capsys, *common, *extra)
@@ -238,6 +240,21 @@ class TestSweepSigmaRd:
             run(capsys, "sweep-sigma-rd", "--m", "50", "--pr", "1,10",
                 "--lo", "0.5", "--hi", "2.0", "--step", "0.1", "--out", str(path))
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["optimal-training", "--m", "7", "--pr", "10", "--sigma-rd", "1"], "m must be"),
+    (["sweep-sigma-rd", "--m", "7", "--pr", "10", "--lo", "0.5", "--hi", "1.5", "--step", "0.5",
+      "--out", "out.csv"], "m must be"),
+    # p**2 overflows in the closed form
+    (["optimal-training", "--m", "50", "--pr", "1e300", "--sigma-rd", "1"], "p=1e+300"),
+])
+def test_invalid_training_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, named):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and named in err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestOptimalTraining:
