@@ -310,7 +310,8 @@ def cmd_optimal_training(args) -> int:
                                delta_s=args.delta_s, delta_r=delta, scheme=scheme)
             return RATE_FN[scheme](cfg, stats, spec, draws=draws).value
 
-        found = grid_argmax(full_rate, 0.0, 1.0, args.delta_step)
+        found = grid_argmax(lambda g: [full_rate(float(d)) for d in g], 0.0, 1.0,
+                            args.delta_step)
         print(f"delta_r_grid={found.argument!r} rate_nats={found.rate.value!r} "
               f"evaluations={found.evaluations}")
     return 0
@@ -366,7 +367,7 @@ def cmd_verify(args) -> int:
     for m, snr in DELTA_R_CASES:
         closed = optimal_delta_r(m, snr, 1.0, 1.0)
         gridded = grid_argmax(
-            lambda a, m=m, snr=snr: float(snr_gain_g_coefficient(a, snr, 1.0, 1.0, m)),
+            lambda a, m=m, snr=snr: snr_gain_g_coefficient(a, snr, 1.0, 1.0, m),
             0.0, 1.0, 1e-4,
         )
         if abs(closed - gridded.argument) > 1e-3:

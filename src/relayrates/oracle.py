@@ -119,8 +119,8 @@ def _vector_channel(cfg: SystemConfig, stats: ChannelStats, seed: int, n: int):
     b[:, 0, 1] = 1.0
     b[:, 1, 0] = relayed
     b[:, 1, 2] = 1.0
-    d = np.diag([ez_r, ez_d, ez_dr]).astype(complex)
-    cov = b @ d @ b.conj().transpose(0, 2, 1)
+    # D is diagonal, so B D scales the columns of B
+    cov = (b * np.array([ez_r, ez_d, ez_dr])) @ b.conj().transpose(0, 2, 1)
     return (h_sd, h_sr, h_rd), beta, a, cov, (ex_s, ex_r, ez_r, ez_d, ez_dr)
 
 
@@ -134,8 +134,11 @@ def _logdet(signal_energy: float, a: np.ndarray, cov: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise ArithmeticError("noise covariance of the log-det integrand is not "
                               "positive definite") from None
-    white = np.linalg.solve(chol, a[:, :, None])[:, :, 0]
-    return np.log1p(signal_energy * np.sum(white.real ** 2 + white.imag ** 2, axis=1))
+    # L is lower triangular: forward substitution gives w = L^-1 a
+    w0 = a[:, 0] / chol[:, 0, 0]
+    w1 = (a[:, 1] - chol[:, 1, 0] * w0) / chol[:, 1, 1]
+    energy = w0.real ** 2 + w0.imag ** 2 + (w1.real ** 2 + w1.imag ** 2)
+    return np.log1p(signal_energy * energy)
 
 
 def vector_channel_samples(cfg: SystemConfig, stats: ChannelStats, seed: int,
@@ -196,17 +199,22 @@ def max_identity_gap(cfg: SystemConfig, stats: ChannelStats, seed: int, count: i
 
 
 def grid_argmax(objective, lo: float, hi: float, step: float) -> AllocationResult:
-    """Maximize a scalar function on the closed grid lo, lo+step, ..., hi.
+    """Maximize a vectorized objective on the closed grid lo, lo+step, ..., hi.
 
+    ``objective`` is called once, with the whole grid as a float ndarray, and
+    must return one value per grid point; any other shape is a ValueError.
     Ties resolve to the smallest argument. Non-finite objective values abort
     with the offending argument in the message.
     """
-    grid = closed_grid(lo, hi, step)
+    grid = np.array(closed_grid(lo, hi, step), dtype=float)
     check_real("step", step, hi=(hi - lo) / 10.0, open_lo=True)
 
-    values = np.array([float(objective(x)) for x in grid])
+    values = np.asarray(objective(grid), dtype=float)
+    if values.shape != grid.shape:
+        raise ValueError(f"objective returned shape {values.shape} for a grid of "
+                         f"{grid.size} points; expected ({grid.size},)")
     if not np.all(np.isfinite(values)):
-        bad = grid[int(np.argmin(np.isfinite(values)))]
+        bad = float(grid[int(np.argmin(np.isfinite(values)))])
         raise ArithmeticError(f"objective is non-finite at {bad}")
     best = int(np.argmax(values))
     estimate = RateEstimate(float(values[best]), 0.0, 0, Method.CLOSED_FORM)

@@ -110,7 +110,7 @@ def test_criterion_3_delta_r_closed_form():
     for m, snr in DELTA_R_CASES:
         closed = optimal_delta_r(m, snr, 1.0, 1.0)
         reference = grid_argmax(
-            lambda a, m=m, snr=snr: float(snr_gain_g_coefficient(a, snr, 1.0, 1.0, m)),
+            lambda a, m=m, snr=snr: snr_gain_g_coefficient(a, snr, 1.0, 1.0, m),
             0.0, 1.0, 1e-4)
         worst = max(worst, abs(closed - reference.argument))
     reference_value = optimal_delta_r(50, 100.0, 1.0, 1.0)

@@ -72,7 +72,7 @@ class TestOptimalDeltaR:
             for snr in (1e-2, 1.0, 1e2, 1e4, 1e6):
                 closed = optimal_delta_r(m, snr, 1.0, 1.0)
                 gridded = grid_argmax(
-                    lambda a, m=m, snr=snr: float(snr_gain_g_coefficient(a, snr, 1.0, 1.0, m)),
+                    lambda a, m=m, snr=snr: snr_gain_g_coefficient(a, snr, 1.0, 1.0, m),
                     0.0, 1.0, 1e-4)
                 assert abs(closed - gridded.argument) <= 1e-3, (m, snr)
 
@@ -124,7 +124,7 @@ class TestSuboptimalDeltaS:
         stats = ChannelStats(sigma_sd=1.0, sigma_sr=4.0, sigma_rd=3.0, n0=1.0)
         _, d2 = suboptimal_delta_s(50, 100.0, stats)
         gridded = grid_argmax(
-            lambda a: float(snr_gain_g_coefficient(a, 100.0, 4.0, 1.0, 50)), 0.0, 1.0, 1e-4)
+            lambda a: snr_gain_g_coefficient(a, 100.0, 4.0, 1.0, 50), 0.0, 1.0, 1e-4)
         assert abs(d2 - gridded.argument) <= 1e-3
 
 

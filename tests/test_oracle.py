@@ -15,6 +15,7 @@ from relayrates import (
     SystemConfig,
     af_rate,
     af_rate_logdet,
+    closed_grid,
     data_symbol_energy,
     expect_over_exponentials,
     grid_argmax,
@@ -26,6 +27,7 @@ from relayrates import (
     snr_gain_g_coefficient,
     vector_channel_samples,
 )
+from relayrates import oracle
 
 
 def _cfg(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1):
@@ -146,6 +148,27 @@ class TestLogdetOracle:
         with pytest.raises(ArithmeticError, match="covariance"):
             logdet_integrand(broken, 1.0)
 
+    def test_logdet_matches_slogdet_on_general_covariances(self):
+        # the whitening must hold for any Hermitian positive-definite covariance,
+        # not only the oracle's, whose off-diagonal is zero
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2))
+        cov = g @ g.conj().transpose(0, 2, 1) + np.eye(2)
+        a = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
+        assert np.min(np.abs(cov[:, 1, 0])) > 0.0
+        outer = a[:, :, None] * a[:, None, :].conj()
+        for energy in (0.5, 3.0, 30.0):
+            product = np.eye(2) + energy * outer @ np.linalg.inv(cov)
+            sign, reference = np.linalg.slogdet(product)
+            np.testing.assert_allclose(sign, 1.0, atol=1e-12)
+            np.testing.assert_allclose(oracle._logdet(energy, a, cov), reference, rtol=1e-12)
+
+    @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, 2.0]],
+                                     [[1.0, 1j], [-1j, 1.0]]])
+    def test_logdet_rejects_non_positive_definite_covariance(self, cov):
+        with pytest.raises(ArithmeticError, match="positive definite"):
+            oracle._logdet(1.0, np.ones((1, 2), dtype=complex), np.array([cov], dtype=complex))
+
     def test_vector_samples_respect_invariants(self):
         stats = ChannelStats(1.0, 4.0, 4.0, 1.0)
         for sample in vector_channel_samples(_cfg(), stats, seed=61, count=50):
@@ -177,7 +200,7 @@ class TestLogdetOracle:
 
 class TestGridArgmax:
     def test_constant_ties_to_left_endpoint(self):
-        result = grid_argmax(lambda x: 0.7, 0.0, 1.0, 0.1)
+        result = grid_argmax(lambda x: np.full(len(x), 0.7), 0.0, 1.0, 0.1)
         assert result.argument == 0.0
         assert result.rate.value == 0.7
 
@@ -186,23 +209,23 @@ class TestGridArgmax:
         assert abs(result.argument - 0.3) <= 5e-5
 
     def test_snr_coefficient_argmax(self):
-        result = grid_argmax(lambda a: float(snr_gain_g_coefficient(a, 100.0, 1.0, 1.0, 50)),
+        result = grid_argmax(lambda a: snr_gain_g_coefficient(a, 100.0, 1.0, 1.0, 50),
                              0.0, 1.0, 1e-4)
         assert result.argument == pytest.approx(0.170, abs=1e-3)
 
     def test_endpoints_included(self):
         seen = []
-        grid_argmax(lambda x: seen.append(x) or 0.0, 0.0, 1.0, 0.1)
+        grid_argmax(lambda x: seen.extend(x) or np.zeros(len(x)), 0.0, 1.0, 0.1)
         assert seen[0] == 0.0 and seen[-1] == 1.0
         assert len(seen) == 11
 
     def test_uneven_step_still_reaches_upper_endpoint(self):
         seen = []
-        grid_argmax(lambda x: seen.append(x) or 0.0, 0.0, 1.0, 0.07)
+        grid_argmax(lambda x: seen.extend(x) or np.zeros(len(x)), 0.0, 1.0, 0.07)
         assert seen[0] == 0.0 and seen[-1] == 1.0
 
     def test_result_beats_neighbors(self):
-        objective = lambda x: math.sin(5.0 * x) + 0.2 * x
+        objective = lambda x: np.sin(5.0 * x) + 0.2 * x
         result = grid_argmax(objective, 0.0, 1.0, 0.01)
         step = 0.01
         left = max(0.0, result.argument - step)
@@ -218,7 +241,23 @@ class TestGridArgmax:
 
     def test_non_finite_objective_aborts(self):
         with pytest.raises(ArithmeticError):
-            grid_argmax(lambda x: math.inf if x > 0.5 else 0.0, 0.0, 1.0, 0.1)
+            grid_argmax(lambda x: np.where(x > 0.5, math.inf, 0.0), 0.0, 1.0, 0.1)
+
+    def test_objective_called_once_with_the_whole_grid(self):
+        calls = []
+        result = grid_argmax(lambda x: calls.append(x) or -((x - 0.3) ** 2), 0.0, 1.0, 1e-4)
+        assert len(calls) == 1
+        grid = calls[0]
+        assert isinstance(grid, np.ndarray) and grid.dtype == float
+        assert grid.tolist() == closed_grid(0.0, 1.0, 1e-4)
+        assert result.evaluations == grid.size == 10_001
+
+    @pytest.mark.parametrize("objective", [lambda x: 0.7, lambda x: np.zeros(len(x) - 1),
+                                           lambda x: np.zeros(len(x) + 1),
+                                           lambda x: np.zeros((len(x), 1)), lambda x: []])
+    def test_wrong_length_result_rejected(self, objective):
+        with pytest.raises(ValueError, match="objective returned shape"):
+            grid_argmax(objective, 0.0, 1.0, 0.1)
 
 
 def _imported_modules(module: str) -> set[str]:
