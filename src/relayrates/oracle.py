@@ -4,7 +4,9 @@ Nothing here reuses the scalar rate formulas: the training simulator works
 at symbol level on raw pilot observations, and the amplify-and-forward
 evaluator goes through the 2x1 vector channel (signal vector A, noise mixing
 matrix B, explicit amplification beta) and the matrix log-determinant
-log det(I + E A A^H Cov^-1). That is evaluated in whitened Hermitian form,
+log det(I + E A A^H Cov^-1). Cov = B D B^H is summed explicitly over B's
+three columns, entry by entry, in the order of a batched matmul, so it is
+that product bit for bit. The log-det is evaluated in whitened Hermitian form,
 log(1 + E ||L^-1 A||^2) with Cov = L L^H (Cholesky), which has no
 cancellation at high power; a covariance that is not positive definite is
 an error.
@@ -26,7 +28,7 @@ from .rates import (
     ExpectationSpec,
     Method,
     RateEstimate,
-    closed_grid,
+    _grid_array,
     f_combiner,
     stream,
 )
@@ -61,7 +63,10 @@ def _complex_normal(gen: np.random.Generator, variance: float, n: int) -> np.nda
     if variance == 0.0:
         return np.zeros(n, dtype=complex)
     scale = math.sqrt(variance / 2.0)
-    return scale * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+    out = np.empty(n, dtype=complex)
+    np.multiply(gen.standard_normal(n), scale, out=out.real)
+    np.multiply(gen.standard_normal(n), scale, out=out.imag)
+    return out
 
 
 def simulate_training_quality(sigma: float, delta: float, m: int, p: float, n0: float,
@@ -119,8 +124,18 @@ def _vector_channel(cfg: SystemConfig, stats: ChannelStats, seed: int, n: int):
     b[:, 0, 1] = 1.0
     b[:, 1, 0] = relayed
     b[:, 1, 2] = 1.0
-    # D is diagonal, so B D scales the columns of B
-    cov = (b * np.array([ez_r, ez_d, ez_dr])) @ b.conj().transpose(0, 2, 1)
+    # D is diagonal, so B D scales the columns of B. (B D) B^H is summed over
+    # B's three columns in matmul's order, one (n,) entry of Cov at a time.
+    bd = b * np.array([ez_r, ez_d, ez_dr])
+    b_conj = np.conj(b)
+    cov = np.empty((n, 2, 2), dtype=complex)
+    term = np.empty(n, dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            entry = cov[:, i, j]
+            np.multiply(bd[:, i, 0], b_conj[:, j, 0], out=entry)
+            for k in (1, 2):
+                entry += np.multiply(bd[:, i, k], b_conj[:, j, k], out=term)
     return (h_sd, h_sr, h_rd), beta, a, cov, (ex_s, ex_r, ez_r, ez_d, ez_dr)
 
 
@@ -206,7 +221,7 @@ def grid_argmax(objective, lo: float, hi: float, step: float) -> AllocationResul
     Ties resolve to the smallest argument. Non-finite objective values abort
     with the offending argument in the message.
     """
-    grid = np.array(closed_grid(lo, hi, step), dtype=float)
+    grid = _grid_array(lo, hi, step)
     check_real("step", step, hi=(hi - lo) / 10.0, open_lo=True)
 
     values = np.asarray(objective(grid), dtype=float)

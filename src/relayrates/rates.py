@@ -127,10 +127,20 @@ class AllocationResult:
 def closed_grid(lo: float, hi: float, step: float) -> list[float]:
     """Grid lo, lo+step, ..., hi with both endpoints present exactly.
 
-    Interior points are rounded to 10 decimals so decimal steps give clean
-    values. The point count is checked against ``MAX_GRID_POINTS`` before
+    Interior points ``lo + i*step`` are rounded to 10 decimals, bit for bit
+    as ``round(x, 10)``, so decimal steps give clean values. The array route
+    computes ``rint(x * 1e10) / 1e10``: 1e10 is exact and the division is
+    correctly rounded, so this is ``round(x, 10)`` unless the rounding error
+    of ``x * 1e10`` may cross a .5 tie. Points within one ulp of a tie, which
+    includes every point with ``|x| * 1e10 >= 2**51``, take the scalar
+    ``round``. The point count is checked against ``MAX_GRID_POINTS`` before
     any point is built.
     """
+    return _grid_array(lo, hi, step).tolist()
+
+
+def _grid_array(lo: float, hi: float, step: float) -> np.ndarray:
+    """``closed_grid`` as a float array."""
     check_real("lo", lo, -math.inf)
     check_real("hi", hi, lo, open_lo=True)
     check_real("step", step, open_lo=True)
@@ -138,10 +148,19 @@ def closed_grid(lo: float, hi: float, step: float) -> list[float]:
     if not steps < MAX_GRID_POINTS:
         raise ValueError(f"step {step} asks for {steps + 1:.0f} points on [{lo}, {hi}]; "
                          f"at most {MAX_GRID_POINTS} are allowed")
-    grid = [round(lo + i * step, 10) for i in range(int(math.floor(steps)) + 1)]
+    points = lo + np.arange(int(math.floor(steps)) + 1) * step
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf product falls back below
+        scaled = points * 1e10
+        grid = np.rint(scaled)
+        # |x*1e10 - exact| <= ulp/2, so a distance to the tie above one ulp
+        # leaves the exact product on the same side of it
+        off_tie = 0.5 - np.abs(scaled - grid) > np.spacing(np.abs(scaled))
+    grid /= 1e10
+    for i in np.flatnonzero(~off_tie):
+        grid[i] = round(float(points[i]), 10)
     grid[0] = lo
     if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
-        grid.append(hi)
+        grid = np.append(grid, hi)
     else:
         grid[-1] = hi
     return grid

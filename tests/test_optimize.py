@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import relayrates
 from relayrates import (
@@ -61,6 +62,50 @@ class TestClosedGrid:
         assert grid[0] == 0.5 and grid[-1] == 5.0
         grid = closed_grid(0.123456789012, 1.0, 0.1)
         assert grid[0] == 0.123456789012 and grid[-1] == 1.0
+
+
+def _scalar_grid(lo, hi, step):
+    """closed_grid as a list comprehension of Python ``round`` calls."""
+    steps = (hi - lo) / step + 1e-9
+    grid = [round(lo + i * step, 10) for i in range(int(math.floor(steps)) + 1)]
+    grid[0] = lo
+    if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
+        grid.append(hi)
+    else:
+        grid[-1] = hi
+    return grid
+
+
+class TestClosedGridRounding:
+    """The array-built grid equals per-point ``round(x, 10)`` in every bit."""
+
+    @staticmethod
+    def assert_same_bits(lo, hi, step):
+        got = [float(x).hex() for x in closed_grid(lo, hi, step)]
+        assert got == [float(x).hex() for x in _scalar_grid(lo, hi, step)], (lo, hi, step)
+
+    @pytest.mark.parametrize("lo,hi,step", [
+        (0.0, 1.0, 1e-4),
+        (0.0, 10.0, 1.00000000005),  # i * step * 1e10 lands within an ulp of a .5 tie
+        (-3.3, 7.1, 0.0013),
+        (-1.0, -0.2, 0.07),
+        (1e9, 1e9 + 20.0, 0.1),  # |x| * 1e10 > 2**52: no fractional bits left to round
+        (0.123456789012, 1.0, 0.1),
+        (1e5, 2e5, 0.13),
+        (0.5, 5.0, 0.7),
+        (1e300, 2e300, 1e299),  # x * 1e10 overflows
+    ])
+    def test_examples(self, lo, hi, step):
+        self.assert_same_bits(lo, hi, step)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-1e12, 1e12), step=st.floats(1e-10, 1e4),
+           count=st.integers(1, 300), tail=st.floats(0.0, 1.0))
+    @example(lo=0.0, step=4.039595e-05, count=50, tail=0.0)
+    def test_matches_scalar_round(self, lo, step, count, tail):
+        hi = lo + (count + tail) * step
+        assume(hi > lo)
+        self.assert_same_bits(lo, hi, step)
 
 
 class TestOptimalDeltaR:

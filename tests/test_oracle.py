@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from relayrates import (
     vector_channel_samples,
 )
 from relayrates import oracle
+from relayrates.cli import AF_ORACLE_CONFIGS
+from relayrates.rates import stream
 
 
 def _cfg(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1):
@@ -198,6 +201,42 @@ class TestLogdetOracle:
                                        rtol=1e-14, atol=1e-14)
 
 
+def _af_case(m, p_s, p_r, d_s, d_r, sigma, n0):
+    return _cfg(m=m, p_s=p_s, p_r=p_r, delta_s=d_s, delta_r=d_r), ChannelStats(*sigma, n0=n0)
+
+
+class TestBitForBitKernels:
+    """The hand-written kernels must match their plain numpy forms in every bit."""
+
+    @pytest.mark.parametrize("config", AF_ORACLE_CONFIGS + (
+        (50, 0.6e9, 0.4e9, 0.1, 0.1, (1.0, 4.0, 4.0), 1.0),))
+    def test_covariance_is_batched_b_d_bh(self, config):
+        cfg, stats = _af_case(*config)
+        for seed in range(3):
+            (_, _, h_rd), beta, _, cov, (_, _, ez_r, ez_d, ez_dr) = oracle._vector_channel(
+                cfg, stats, seed, 20_000)
+            b = np.zeros((len(beta), 2, 3), dtype=complex)
+            b[:, 0, 1] = 1.0
+            b[:, 1, 0] = h_rd * beta
+            b[:, 1, 2] = 1.0
+            expected = (b * np.array([ez_r, ez_d, ez_dr])) @ b.conj().transpose(0, 2, 1)
+            assert cov.shape == expected.shape
+            assert np.array_equal(cov.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("variance", [0.0, 1e-300, 0.3, 1.0, 17.0, 1e12])
+    def test_complex_normal_is_scaled_pair(self, variance):
+        n = 10_001
+        got = oracle._complex_normal(stream(5, 16), variance, n)
+        gen = stream(5, 16)
+        scale = math.sqrt(variance / 2.0)
+        expected = scale * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+        assert got.dtype == complex and got.shape == (n,)
+        if variance == 0.0:
+            assert np.array_equal(got.view(np.uint64), np.zeros(2 * n, dtype=np.uint64))
+        else:
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 class TestGridArgmax:
     def test_constant_ties_to_left_endpoint(self):
         result = grid_argmax(lambda x: np.full(len(x), 0.7), 0.0, 1.0, 0.1)
@@ -278,3 +317,38 @@ def test_oracle_and_optimizer_do_not_import_each_other():
     # the oracle checks the optimizer, so it must not share code with it
     assert "optimize" not in _imported_modules("oracle")
     assert "oracle" not in _imported_modules("optimize")
+
+
+# SHA-256 per AF_ORACLE_CONFIGS entry over the float.hex of af_rate_logdet
+# (value, SE) at 10^5 samples, max_identity_gap over 200 draws and
+# simulate_training_quality (both variances, 10^5 trials, each of the three
+# links), seeds 0-3. Recorded while _vector_channel still formed B D B^H with
+# one batched matmul and _complex_normal returned scale * (x + 1j*y). The
+# verify report prints only pass counts and a 4-digit gap, so these pin the
+# last bit of the oracle. Like the preset digests they depend on numpy's
+# Philox stream, log1p and Cholesky.
+ORACLE_SHA256 = (
+    "01ff064d712ba1e7f7f2d309daf10507135861d93fceb7243a6ad5b61de5551b",
+    "854aea28f478d5c34c2fd8f8a61954e1bee00741f010e2db4434c4931575e2d8",
+    "b81c0f27a94f2ac3736b607916d362731a65c9a65f0767cb49834588edde068b",
+    "f90ae2d00c2629b88cbf0b6570499a7ba4591d1e1d8bb77ff629ff5244c8cd62",
+    "e7de877742051e4197048b78ad7f82384603993c3dab2690c9aa11a38b2c1b50",
+)
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason=f"digests were recorded with numpy 2.4.6, this is numpy {np.__version__}")
+@pytest.mark.parametrize("index", range(len(AF_ORACLE_CONFIGS)))
+def test_oracle_outputs_are_pinned(index):
+    m, p_s, p_r, d_s, d_r, sigma, n0 = AF_ORACLE_CONFIGS[index]
+    cfg, stats = _af_case(*AF_ORACLE_CONFIGS[index])
+    links = ((sigma[0], d_s, p_s), (sigma[1], d_s, p_s), (sigma[2], d_r, p_r))
+    digest = hashlib.sha256()
+    for seed in range(4):
+        rate = af_rate_logdet(cfg, stats, ExpectationSpec(dims=3, samples=100_000, seed=seed))
+        values = [rate.value, rate.std_error, max_identity_gap(cfg, stats, seed, 200)]
+        for s, d, p in links:
+            q = simulate_training_quality(s, d, m, p, n0, 100_000, seed)
+            values += [q.var_estimate, q.var_error]
+        digest.update(" ".join(v.hex() for v in values).encode() + b"\n")
+    assert digest.hexdigest() == ORACLE_SHA256[index]
