@@ -96,11 +96,6 @@ class SystemConfig:
         if not isinstance(self.scheme, Scheme):
             raise ValueError(f"scheme must be a Scheme member, got {self.scheme!r}")
 
-    @property
-    def data_symbols(self) -> int:
-        """Length of each node's data vector, (m - 2) / 2."""
-        return (self.m - 2) // 2
-
 
 @dataclass(frozen=True)
 class EstimationQuality:
@@ -152,9 +147,7 @@ def data_symbol_energy(delta: float, m: int, p: float) -> float:
     """
     check_real("delta", delta, hi=1.0)
     check_real("p", p)
-    # m = 4 is tolerated here (single data symbol per half); SystemConfig is
-    # stricter and requires m >= 6.
-    check_int("m", m, 4, even=True)
+    check_int("m", m, 6, even=True)
     energy = 2.0 * (1.0 - delta) * m * p / (m - 2.0)
     if not math.isfinite(energy):
         raise ValueError(f"data symbol energy overflows at delta={delta!r}, m={m!r}, p={p!r}")

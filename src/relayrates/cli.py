@@ -114,13 +114,6 @@ PRESETS = {
 }
 
 
-def _fmt(value) -> str:
-    """Full-precision, locale-independent cell formatting."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _parse_sigma(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -141,13 +134,10 @@ def _resolve_out(path: str) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    # rows are fully computed before the file is opened, so a validation or
-    # evaluation failure never leaves a partial file behind
+    # rows are fully computed before the file is opened, so a failure never leaves
+    # a partial file behind; csv writes str(x), which is repr(x) for a float
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        csv.writer(handle, lineterminator="\n").writerows([header, *rows])
 
 
 def _load_config_file(path: str) -> list[str]:
@@ -399,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_rate_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--method", choices=["mc", "gl"], default="mc")
         p.add_argument("--nodes", type=int, default=64)
-        p.add_argument("--bits", action="store_true", help="report bits instead of nats")
 
     p_rate = sub.add_parser("rate", help="evaluate one configuration", allow_abbrev=False)
     p_rate.add_argument("--scheme", choices=schemes, required=True)
@@ -415,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--delta-r", type=float, required=True)
     add_common(p_rate)
     add_rate_common(p_rate)
+    p_rate.add_argument("--bits", action="store_true", help="report bits instead of nats")
     p_rate.set_defaults(func=cmd_rate)
 
     p_sweep = sub.add_parser("sweep-theta", help="rate vs. power split, CSV output",

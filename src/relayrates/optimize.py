@@ -25,6 +25,7 @@ from .rates import (
     ExpectationSpec,
     RateEstimate,
     _gain_coefficient,
+    _grid_array,
     closed_grid,
     common_draws,
 )
@@ -51,6 +52,11 @@ class PowerSplit:
         return self.total - self.p_s
 
 
+# optimal_delta_r's cross-check grid, built once: it only checks the closed form
+_DELTA_GRID = _grid_array(0.0, 1.0, 5e-4)
+_DELTA_GRID.flags.writeable = False
+
+
 def optimal_delta_r(m: int, p: float, sigma: float, n0: float) -> float:
     """Closed-form relay training fraction maximizing its SNR-gain coefficient.
 
@@ -64,7 +70,6 @@ def optimal_delta_r(m: int, p: float, sigma: float, n0: float) -> float:
     for name, value in (("p", p), ("sigma", sigma), ("n0", n0)):
         check_real(name, value, open_lo=True)
 
-    grid = np.arange(0.0, 1.0 + 5e-4, 5e-4)
     delta = reference = math.nan
     try:
         s2 = sigma * sigma
@@ -74,8 +79,8 @@ def optimal_delta_r(m: int, p: float, sigma: float, n0: float) -> float:
         denominator = -4.0 * m * p * s2 + m * m * p * s2
         delta = 0.5 * numerator / denominator
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            coefficients = snr_gain_g_coefficient(grid, p, sigma, n0, m)
-        reference = float(grid[int(np.argmax(coefficients))])
+            coefficients = snr_gain_g_coefficient(_DELTA_GRID, p, sigma, n0, m)
+        reference = float(_DELTA_GRID[int(np.argmax(coefficients))])
     except (ArithmeticError, ValueError):  # the value that failed stays NaN; ValueError: disc < 0
         pass
     where = f"for m={m}, p={p}, sigma={sigma}, n0={n0}"

@@ -219,7 +219,8 @@ def grid_argmax(objective, lo: float, hi: float, step: float) -> AllocationResul
     ``objective`` is called once, with the whole grid as a float ndarray, and
     must return one value per grid point; any other shape is a ValueError.
     Ties resolve to the smallest argument. Non-finite objective values abort
-    with the offending argument in the message.
+    with the offending argument in the message. The objective must be
+    nonnegative: a negative maximum is a ValueError naming it and its argument.
     """
     grid = _grid_array(lo, hi, step)
     check_real("step", step, hi=(hi - lo) / 10.0, open_lo=True)
@@ -232,5 +233,6 @@ def grid_argmax(objective, lo: float, hi: float, step: float) -> AllocationResul
         bad = float(grid[int(np.argmin(np.isfinite(values)))])
         raise ArithmeticError(f"objective is non-finite at {bad}")
     best = int(np.argmax(values))
+    check_real(f"objective maximum (at {float(grid[best])!r})", float(values[best]))
     estimate = RateEstimate(float(values[best]), 0.0, 0, Method.CLOSED_FORM)
     return AllocationResult(argument=float(grid[best]), rate=estimate, evaluations=len(grid))

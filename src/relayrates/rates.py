@@ -329,10 +329,8 @@ def snr_gain_g(a: float, b: float, c: float, n0: float, m: int, w_sq) -> np.ndar
 
 
 def _combine(x: np.ndarray, y: np.ndarray, out=None, spare=None):
-    # f_combiner's formula, into ``out`` with the denominator in ``spare``; one
-    # comparison pass per argument, which NaN fails too
-    _check_each("x", x, x >= 0.0)
-    _check_each("y", y, y >= 0.0)
+    # f_combiner's formula, unchecked, into ``out`` with the denominator in ``spare``:
+    # the AF integrand's gains times exponential draws are finite and nonnegative
     den = np.add(1.0, np.add(x, y, out=spare), out=spare)
     return np.divide(np.multiply(x, y, out=out), den, out=out)
 
@@ -346,6 +344,8 @@ def f_combiner(x, y):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     _check_each("x", x, np.isfinite(x))
     _check_each("y", y, np.isfinite(y))
+    _check_each("x", x, x >= 0.0)
+    _check_each("y", y, y >= 0.0)
     out = _combine(x, y)
     return float(out) if out.ndim == 0 else out
 

@@ -75,14 +75,14 @@ class TestDataSymbolEnergy:
         assert data_symbol_energy(1.0, 50, 100.0) == 0.0
 
     def test_smallest_block(self):
-        assert data_symbol_energy(0.0, 4, 1.0) == 4.0
+        assert data_symbol_energy(0.0, 6, 1.0) == 3.0
 
     def test_reference_point(self):
         assert data_symbol_energy(0.1, 50, 100.0) == pytest.approx(187.5, rel=1e-12)
 
     @given(
         delta=st.floats(0.0, 1.0),
-        m=st.integers(2, 500).map(lambda k: 2 * k),
+        m=st.integers(3, 500).map(lambda k: 2 * k),
         p=st.floats(0.0, 1e6),
     )
     def test_block_energy_is_conserved(self, delta, m, p):
@@ -90,7 +90,7 @@ class TestDataSymbolEnergy:
         total = delta * m * p + (m - 2) / 2 * per_symbol
         assert total == pytest.approx(m * p, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("m", [3, 5, 7, 2, 0])
+    @pytest.mark.parametrize("m", [3, 5, 7, 2, 0, 4])
     def test_rejects_odd_or_tiny_blocks(self, m):
         with pytest.raises(ValueError):
             data_symbol_energy(0.1, m, 1.0)
@@ -119,10 +119,6 @@ class TestTypes:
     def test_degenerate_training_fractions_are_legal(self):
         SystemConfig(m=6, p_s=0.0, p_r=0.0, delta_s=0.0, delta_r=1.0,
                      scheme=Scheme.DF_PARALLEL)
-
-    def test_data_symbols(self):
-        assert SystemConfig(m=50, p_s=1.0, p_r=1.0, delta_s=0.1, delta_r=0.1,
-                            scheme=Scheme.AF).data_symbols == 24
 
     def test_estimation_quality_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import inspect
 import math
 import re
 import shlex
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relayrates.cli
 import relayrates.oracle
 from relayrates import (
     ChannelStats,
@@ -17,7 +20,7 @@ from relayrates import (
     af_rate,
     optimal_delta_r,
 )
-from relayrates.cli import THETA_CSV_HEADER, _expand, build_parser, main
+from relayrates.cli import THETA_CSV_HEADER, _expand, _write_csv, build_parser, main
 from relayrates.rates import RATE_FN
 
 RATE_ARGS = ["rate", "--scheme", "af", "--m", "50", "--ps", "60", "--pr", "40",
@@ -126,6 +129,15 @@ class TestSweepTheta:
         assert lines[0] == ",".join(THETA_CSV_HEADER)
         thetas = [line.split(",")[0] for line in lines[1:]]
         assert thetas == ["0.0", "0.5", "1.0"]
+
+    def test_bits_is_usage_error(self, tmp_path, capsys):
+        # --bits rescales the printed line of ``rate``; a sweep's CSV is in nats
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep-theta", "--preset", "fig2", "--curve", "1", "--bits",
+                  "--out", str(tmp_path / "x.csv")])
+        assert excinfo.value.code == 2
+        assert "--bits" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bit_identical_across_runs_and_workers(self, tmp_path, capsys):
         blobs = []
@@ -391,6 +403,38 @@ class TestConfigFile:
             # the file overrides the preset's P = 1 and the flag overrides the
             # file; every other value is the preset's
             assert rows == {("af", "1.0", "10.0", "2.0", expected_p, "50", "0.1", "0.1")}
+
+
+def test_csv_cells_are_repr_per_float_and_str_otherwise(tmp_path):
+    row = [5e-324, 1e-20, 0.30000000000000004, 1.2345678901234568e+17, 1e+300, 1.0, 7, "af"]
+    path = tmp_path / "cells.csv"
+    _write_csv(str(path), ["h"], [row])
+    expected = ",".join([*map(repr, row[:6]), "7", "af"])
+    assert expected == "5e-324,1e-20,0.30000000000000004,1.2345678901234568e+17,1e+300,1.0,7,af"
+    assert path.read_bytes() == f"h\n{expected}\n".encode()
+
+
+def _handler_source(handler) -> str:
+    """A handler's source plus that of every cli helper it passes ``args`` to."""
+    source = inspect.getsource(handler)
+    for name in re.findall(r"(\w+)\(args\)", source):
+        helper = getattr(relayrates.cli, name, None)
+        if inspect.isfunction(helper):
+            source += inspect.getsource(helper)
+    return source
+
+
+def test_every_option_is_read():
+    # an option no handler reads is accepted and silently ignored; --config
+    # is consumed by _expand before argparse parses
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        source = _handler_source(parser.get_default("func"))
+        dests = {action.dest for action in parser._actions if action.option_strings}
+        unread = sorted(dest for dest in dests - {"help", "config"}
+                        if not re.search(rf"\bargs\.{dest}\b", source))
+        assert not unread, f"{command} never reads {unread}"
 
 
 def _readme_commands() -> list[str]:

@@ -114,7 +114,7 @@ ROWS = {
                         {"sigma": (NONNEG, "sigma"), "delta": (FRACTION, "delta"),
                          "m": (BLOCK, "m"), "p": (NONNEG, "p"), "n0": (POSITIVE, "n0")}),
     "data_symbol_energy": Row(data_symbol_energy, dict(delta=0.1, m=50, p=100.0),
-                              {"delta": (FRACTION, "delta"), "m": (Int(4, even=True), "m"),
+                              {"delta": (FRACTION, "delta"), "m": (BLOCK, "m"),
                                "p": (NONNEG, "p")}),
     "ExpectationSpec": Row(ExpectationSpec, dict(dims=3, samples=100, seed=0, nodes=64),
                            {"dims": (Int(1, 3), "dims"),

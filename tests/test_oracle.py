@@ -282,6 +282,10 @@ class TestGridArgmax:
         with pytest.raises(ArithmeticError):
             grid_argmax(lambda x: np.where(x > 0.5, math.inf, 0.0), 0.0, 1.0, 0.1)
 
+    def test_negative_maximum_is_named(self):
+        with pytest.raises(ValueError, match=r"^objective maximum \(at 0\.3\) .* got -1\.0$"):
+            grid_argmax(lambda x: -1.0 - (x - 0.3) ** 2, 0.0, 1.0, 0.1)
+
     def test_objective_called_once_with_the_whole_grid(self):
         calls = []
         result = grid_argmax(lambda x: calls.append(x) or -((x - 0.3) ** 2), 0.0, 1.0, 1e-4)
