@@ -4,12 +4,12 @@ Nothing here reuses the scalar rate formulas: the training simulator works
 at symbol level on raw pilot observations, and the amplify-and-forward
 evaluator goes through the 2x1 vector channel (signal vector A, noise mixing
 matrix B, explicit amplification beta) and the matrix log-determinant
-log det(I + E A A^H Cov^-1). Cov = B D B^H is summed explicitly over B's
-three columns, entry by entry, in the order of a batched matmul, so it is
-that product bit for bit. The log-det is evaluated in whitened Hermitian form,
-log(1 + E ||L^-1 A||^2) with Cov = L L^H (Cholesky), which has no
-cancellation at high power; a covariance that is not positive definite is
-an error.
+log det(I + E A A^H Cov^-1). Cov = B D B^H is summed over B's three columns,
+entry by entry, in the order of a batched matmul, so it is that product bit
+for bit, though B is never formed. The log-det is evaluated in whitened
+Hermitian form, log(1 + E ||L^-1 A||^2) with Cov = L L^H (an explicit 2x2
+Cholesky factor, no LAPACK), which has no cancellation at high power; a
+covariance that is not positive definite is an error.
 Agreement between the two routes is the primary correctness check of the
 package; disagreement beyond sampling noise is a bug by definition.
 """
@@ -115,43 +115,43 @@ def _vector_channel(cfg: SystemConfig, stats: ChannelStats, seed: int, n: int):
 
     beta = np.sqrt(ex_r / (np.abs(h_sr) ** 2 * ex_s + ez_r))
     relayed = h_rd * beta
+    a = np.stack([h_sd, relayed * h_sr], axis=1)
 
-    a = np.empty((n, 2), dtype=complex)
-    a[:, 0] = h_sd
-    a[:, 1] = relayed * h_sr
-
-    b = np.zeros((n, 2, 3), dtype=complex)
-    b[:, 0, 1] = 1.0
-    b[:, 1, 0] = relayed
-    b[:, 1, 2] = 1.0
-    # D is diagonal, so B D scales the columns of B. (B D) B^H is summed over
-    # B's three columns in matmul's order, one (n,) entry of Cov at a time.
-    bd = b * np.array([ez_r, ez_d, ez_dr])
-    b_conj = np.conj(b)
+    # B = [[0, 1, 0], [relayed, 0, 1]], D = diag(ez_r, ez_d, ez_dr). Each product of
+    # (B D) B^H is a complex constant or an (n,) vector built from `relayed`, summed
+    # over B's three columns in matmul's order, one (n,) entry of Cov at a time.
+    rows = ((0j, 1 + 0j, 0j), (relayed, 0j, 1 + 0j))
+    bd = [[np.multiply(x, dk) for x, dk in zip(row, (ez_r, ez_d, ez_dr))] for row in rows]
+    bh = [[np.conj(x) for x in row] for row in rows]
     cov = np.empty((n, 2, 2), dtype=complex)
-    term = np.empty(n, dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            entry = cov[:, i, j]
-            np.multiply(bd[:, i, 0], b_conj[:, j, 0], out=entry)
-            for k in (1, 2):
-                entry += np.multiply(bd[:, i, k], b_conj[:, j, k], out=term)
+    for i, j in np.ndindex(2, 2):
+        entry = cov[:, i, j]
+        np.multiply(bd[i][0], bh[j][0], out=entry)
+        for k in (1, 2):
+            entry += bd[i][k] * bh[j][k]
     return (h_sd, h_sr, h_rd), beta, a, cov, (ex_s, ex_r, ez_r, ez_d, ez_dr)
+
+
+def _pivot_sqrt(pivot: np.ndarray) -> np.ndarray:
+    if not np.all(pivot > 0.0):  # also false for NaN
+        raise ArithmeticError("noise covariance of the log-det integrand is not "
+                              "positive definite")
+    return np.sqrt(pivot)
 
 
 def _logdet(signal_energy: float, a: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """log det(I + E|x|^2 * A A^H * Cov^-1) per draw, for (n, 2) A and (n, 2, 2) Cov.
 
     A A^H has rank one, so this is log(1 + E|x|^2 * ||L^-1 a||^2) with Cov = L L^H.
+    L is the lower Cholesky factor of any Hermitian positive-definite Cov, in LAPACK's
+    operation order, so it is LAPACK's factor bit for bit where c10 = 0 (the oracle's).
     """
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ArithmeticError("noise covariance of the log-det integrand is not "
-                              "positive definite") from None
+    l00 = _pivot_sqrt(cov[:, 0, 0].real)
+    l10 = cov[:, 1, 0] * (1.0 / l00)
+    l11 = _pivot_sqrt(cov[:, 1, 1].real - (l10.real ** 2 + l10.imag ** 2))
     # L is lower triangular: forward substitution gives w = L^-1 a
-    w0 = a[:, 0] / chol[:, 0, 0]
-    w1 = (a[:, 1] - chol[:, 1, 0] * w0) / chol[:, 1, 1]
+    w0 = a[:, 0] / l00
+    w1 = (a[:, 1] - l10 * w0) / l11
     energy = w0.real ** 2 + w0.imag ** 2 + (w1.real ** 2 + w1.imag ** 2)
     return np.log1p(signal_energy * energy)
 
@@ -174,7 +174,7 @@ def af_rate_logdet(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec
     """Amplify-and-forward rate through the vector channel's log-determinant.
 
     Draws the three channel estimates at their closed-form variances, builds
-    A, B and the mixed-noise covariance per draw with the relay gain at its
+    A and the mixed-noise covariance B D B^H per draw with the relay gain at its
     power limit, and averages log det(I + E|x_s|^2 A A^H (B D B^H)^-1).
     Must agree with :func:`relayrates.rates.af_rate` within sampling error.
     """

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -167,10 +168,27 @@ class TestLogdetOracle:
             np.testing.assert_allclose(oracle._logdet(energy, a, cov), reference, rtol=1e-12)
 
     @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, 2.0]],
-                                     [[1.0, 1j], [-1j, 1.0]]])
+                                     [[1.0, 1j], [-1j, 1.0]],
+                                     [[math.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, math.nan]],
+                                     [[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]])
     def test_logdet_rejects_non_positive_definite_covariance(self, cov):
         with pytest.raises(ArithmeticError, match="positive definite"):
             oracle._logdet(1.0, np.ones((1, 2), dtype=complex), np.array([cov], dtype=complex))
+
+    def test_zero_count_gives_no_samples(self):
+        assert vector_channel_samples(_cfg(), ChannelStats(1.0, 4.0, 4.0, 1.0), seed=0,
+                                      count=0) == []
+
+    def test_peak_memory_of_one_call(self):
+        # A, Cov and a few (n,) vectors are alive at once, never an (n, 2, 3) B
+        spec = ExpectationSpec(dims=3, samples=100_000, seed=1)
+        tracemalloc.start()
+        try:
+            af_rate_logdet(_cfg(), ChannelStats(1.0, 4.0, 4.0, 1.0), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6
 
     def test_vector_samples_respect_invariants(self):
         stats = ChannelStats(1.0, 4.0, 4.0, 1.0)
@@ -205,11 +223,14 @@ def _af_case(m, p_s, p_r, d_s, d_r, sigma, n0):
     return _cfg(m=m, p_s=p_s, p_r=p_r, delta_s=d_s, delta_r=d_r), ChannelStats(*sigma, n0=n0)
 
 
+# the verify configs and one at P = 1e9
+KERNEL_CONFIGS = AF_ORACLE_CONFIGS + ((50, 0.6e9, 0.4e9, 0.1, 0.1, (1.0, 4.0, 4.0), 1.0),)
+
+
 class TestBitForBitKernels:
     """The hand-written kernels must match their plain numpy forms in every bit."""
 
-    @pytest.mark.parametrize("config", AF_ORACLE_CONFIGS + (
-        (50, 0.6e9, 0.4e9, 0.1, 0.1, (1.0, 4.0, 4.0), 1.0),))
+    @pytest.mark.parametrize("config", KERNEL_CONFIGS)
     def test_covariance_is_batched_b_d_bh(self, config):
         cfg, stats = _af_case(*config)
         for seed in range(3):
@@ -222,6 +243,19 @@ class TestBitForBitKernels:
             expected = (b * np.array([ez_r, ez_d, ez_dr])) @ b.conj().transpose(0, 2, 1)
             assert cov.shape == expected.shape
             assert np.array_equal(cov.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("config", KERNEL_CONFIGS)
+    def test_logdet_matches_lapack_route(self, config):
+        cfg, stats = _af_case(*config)
+        for seed in range(3):
+            _, _, a, cov, (ex_s, *_) = oracle._vector_channel(cfg, stats, seed, 20_000)
+            chol = np.linalg.cholesky(cov)
+            w0 = a[:, 0] / chol[:, 0, 0]
+            w1 = (a[:, 1] - chol[:, 1, 0] * w0) / chol[:, 1, 1]
+            energy = w0.real ** 2 + w0.imag ** 2 + (w1.real ** 2 + w1.imag ** 2)
+            expected = np.log1p(ex_s * energy)
+            got = oracle._logdet(ex_s, a, cov)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("variance", [0.0, 1e-300, 0.3, 1.0, 17.0, 1e12])
     def test_complex_normal_is_scaled_pair(self, variance):
@@ -303,9 +337,13 @@ class TestGridArgmax:
             grid_argmax(objective, 0.0, 1.0, 0.1)
 
 
+def _parse(module: str) -> ast.Module:
+    return ast.parse((Path(relayrates.__file__).parent / f"{module}.py").read_text())
+
+
 def _imported_modules(module: str) -> set[str]:
     """Last name component of every module a package source file imports."""
-    tree = ast.parse((Path(relayrates.__file__).parent / f"{module}.py").read_text())
+    tree = _parse(module)
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -323,6 +361,15 @@ def test_oracle_and_optimizer_do_not_import_each_other():
     assert "oracle" not in _imported_modules("optimize")
 
 
+def test_oracle_uses_no_linalg():
+    # the oracle factors its 2x2 covariances itself, so its digests below do
+    # not depend on the LAPACK that numpy links
+    nodes = list(ast.walk(_parse("oracle")))
+    names = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in nodes if isinstance(node, ast.Name)}
+    assert "linalg" not in names | _imported_modules("oracle")
+
+
 # SHA-256 per AF_ORACLE_CONFIGS entry over the float.hex of af_rate_logdet
 # (value, SE) at 10^5 samples, max_identity_gap over 200 draws and
 # simulate_training_quality (both variances, 10^5 trials, each of the three
@@ -330,7 +377,8 @@ def test_oracle_and_optimizer_do_not_import_each_other():
 # one batched matmul and _complex_normal returned scale * (x + 1j*y). The
 # verify report prints only pass counts and a 4-digit gap, so these pin the
 # last bit of the oracle. Like the preset digests they depend on numpy's
-# Philox stream, log1p and Cholesky.
+# Philox stream and log1p; the oracle factors its covariances without
+# np.linalg, so they do not depend on the LAPACK that numpy links.
 ORACLE_SHA256 = (
     "01ff064d712ba1e7f7f2d309daf10507135861d93fceb7243a6ad5b61de5551b",
     "854aea28f478d5c34c2fd8f8a61954e1bee00741f010e2db4434c4931575e2d8",
