@@ -279,15 +279,15 @@ def cmd_sweep_sigma_rd(args) -> int:
 
 def cmd_optimal_training(args) -> int:
     delta_r = optimal_delta_r(args.m, args.pr, args.sigma_rd, args.n0)
-    print(f"delta_r_opt={delta_r!r} m={args.m} P_r={args.pr!r} "
-          f"sigma_rd={args.sigma_rd!r} n0={args.n0!r}")
+    lines = [f"delta_r_opt={delta_r!r} m={args.m} P_r={args.pr!r} "
+             f"sigma_rd={args.sigma_rd!r} n0={args.n0!r}"]
     if args.ps is not None:
         if args.sigma_sd is None or args.sigma_sr is None:
             raise ValueError("--ps needs --sigma-sd and --sigma-sr for the source candidates")
         stats = ChannelStats(sigma_sd=args.sigma_sd, sigma_sr=args.sigma_sr,
                              sigma_rd=args.sigma_rd, n0=args.n0)
         d1, d2 = suboptimal_delta_s(args.m, args.ps, stats)
-        print(f"delta_s_via_direct={d1!r} delta_s_via_relay={d2!r} P_s={args.ps!r}")
+        lines.append(f"delta_s_via_direct={d1!r} delta_s_via_relay={d2!r} P_s={args.ps!r}")
     if args.global_delta:
         if args.ps is None or args.scheme is None:
             raise ValueError("--global-delta needs --scheme and --ps")
@@ -302,8 +302,9 @@ def cmd_optimal_training(args) -> int:
 
         found = grid_argmax(lambda g: [full_rate(float(d)) for d in g], 0.0, 1.0,
                             args.delta_step)
-        print(f"delta_r_grid={found.argument!r} rate_nats={found.rate.value!r} "
-              f"evaluations={found.evaluations}")
+        lines.append(f"delta_r_grid={found.argument!r} rate_nats={found.rate.value!r} "
+                     f"evaluations={found.evaluations}")
+    print("\n".join(lines))  # only once every check has passed
     return 0
 
 

@@ -1,8 +1,8 @@
 """Resource allocation: closed-form training fractions and power-split sweeps.
 
-The relay's optimal training fraction maximizes the coefficient of |w|^2 in
-the per-link SNR gain and has a closed form. The source fraction has no
-closed form; two candidates (one per outgoing link) are evaluated directly.
+The relay's optimal training fraction maximizes the |w|^2 coefficient of the
+per-link SNR gain; its closed form is exact to a few ulps for every m < 2^53.
+The source fraction has none; two candidates (one per link) are evaluated.
 The source/relay power split theta is swept on a grid with common random
 numbers, free of sampling noise between grid points: a sweep call draws its
 three |w|^2 vectors once (3 x samples x 8 bytes) and every point rescales them
@@ -60,11 +60,13 @@ _DELTA_GRID.flags.writeable = False
 def optimal_delta_r(m: int, p: float, sigma: float, n0: float) -> float:
     """Closed-form relay training fraction maximizing its SNR-gain coefficient.
 
-    Cross-validated on every call against a cheap vectorized grid search of
-    the coefficient itself; disagreement beyond 1e-3 raises, so a wrong root
-    can never propagate silently into sweeps. Where the closed form or the
-    grid overflows, or a denominator underflows to 0, the ValueError names
-    the inputs.
+    With s = m p sigma^2 / n0 the coefficient is a(1-a) / (1 + c a) times a
+    factor free of a, where c = (m-4) / (2 + (m-2)/s) is in [0, (m-4)/2]; the
+    root 1 / (1 + sqrt(1 + c)) runs from 1/2 (s -> 0) to 1 / (1 + sqrt((m-2)/2))
+    (s -> inf). (m-2)/s is formed on frexp mantissas, so nothing overflows and
+    every m < 2^53 gets its root to a few ulps. A grid search of the bounded
+    a(1-a) / (1 + c a) checks each call; a gap beyond 1e-3, a fault, or an m
+    too large for a float raises a ValueError that names the inputs.
     """
     check_int("m", m, 6, even=True)
     for name, value in (("p", p), ("sigma", sigma), ("n0", n0)):
@@ -72,22 +74,18 @@ def optimal_delta_r(m: int, p: float, sigma: float, n0: float) -> float:
 
     delta = reference = math.nan
     try:
-        s2 = sigma * sigma
-        disc = (-4.0 * m**2 * p**2 * s2**2 - 2.0 * m**2 * p * s2 * n0 + m**2 * n0**2
-                - 4.0 * m * n0**2 + 4.0 * n0**2 + 2.0 * m**3 * p**2 * s2**2 + m**3 * p * s2 * n0)
-        numerator = -4.0 * m * p * s2 - 2.0 * m * n0 + 4.0 * n0 + 2.0 * math.sqrt(disc)
-        denominator = -4.0 * m * p * s2 + m * m * p * s2
-        delta = 0.5 * numerator / denominator
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            coefficients = snr_gain_g_coefficient(_DELTA_GRID, p, sigma, n0, m)
-        reference = float(_DELTA_GRID[int(np.argmax(coefficients))])
-    except (ArithmeticError, ValueError):  # the value that failed stays NaN; ValueError: disc < 0
+        # (m-2)/s = (m-2)/m * n0 / (p sigma^2); beyond 2^1020, 1 + c rounds to 1 anyway
+        (fn, en), (fp, ep), (fs, es) = map(math.frexp, (n0, p, sigma))
+        t = math.ldexp((m - 2) / m * fn / (fp * fs * fs), min(en - ep - 2 * es, 1020))
+        c = (m - 4) / (2.0 + t)
+        delta = 1.0 / (1.0 + math.sqrt(1.0 + c))
+        objective = _DELTA_GRID * (1.0 - _DELTA_GRID) / (1.0 + c * _DELTA_GRID)
+        reference = float(_DELTA_GRID[int(np.argmax(objective))])
+    except ArithmeticError:  # m too large for a float; the value that failed stays NaN
         pass
-    where = f"for m={m}, p={p}, sigma={sigma}, n0={n0}"
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"closed form left (0, 1): delta={delta} {where}")
-    if not abs(delta - reference) <= 1e-3:
-        raise ValueError(f"closed form {delta} disagrees with grid reference {reference} {where}")
+    if not (0.0 < delta < 1.0 and abs(delta - reference) <= 1e-3):  # also where either is NaN
+        raise ValueError(f"closed form {delta} is outside (0, 1) or off its grid reference "
+                         f"{reference} for m={m}, p={p}, sigma={sigma}, n0={n0}")
     return delta
 
 

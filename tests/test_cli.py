@@ -260,8 +260,14 @@ class TestSweepSigmaRd:
     (["optimal-training", "--m", "7", "--pr", "10", "--sigma-rd", "1"], "m must be"),
     (["sweep-sigma-rd", "--m", "7", "--pr", "10", "--lo", "0.5", "--hi", "1.5", "--step", "0.5",
       "--out", "out.csv"], "m must be"),
-    # p**2 overflows in the closed form
-    (["optimal-training", "--m", "50", "--pr", "1e300", "--sigma-rd", "1"], "p=1e+300"),
+    (["optimal-training", "--m", "50", "--pr", "0", "--sigma-rd", "1"], "p must be"),
+    # misuse found after the relay fraction is known still prints no result line
+    (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--global-delta"],
+     "--global-delta needs"),
+    (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--ps", "10"],
+     "--ps needs"),
+    (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--ps", "10",
+      "--sigma-sd", "-1", "--sigma-sr", "1"], "sigma_sd must be"),
 ])
 def test_invalid_training_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -278,6 +284,14 @@ class TestOptimalTraining:
         assert code == 0
         value = float(out.split("delta_r_opt=")[1].split()[0])
         assert value == optimal_delta_r(50, 100.0, 1.0, 1.0)
+
+    def test_high_snr_limit(self, capsys):
+        code, out, _ = run(capsys, "optimal-training", "--m", "50", "--pr", "1e300",
+                           "--sigma-rd", "1")
+        assert code == 0
+        value = float(out.split("delta_r_opt=")[1].split()[0])
+        limit = 1.0 / (1.0 + math.sqrt(24.0))
+        assert abs(value - limit) <= 2 * math.ulp(limit)
 
     def test_source_candidates(self, capsys):
         code, out, _ = run(capsys, "optimal-training", "--m", "50", "--pr", "100",

@@ -180,9 +180,8 @@ EXEMPT = {
     "Method": "enum",
     "AllocationResult": "result type",
     "VectorChannelSample": "result type",
-    "snr_gain_g_coefficient": "the grid kernel of optimal_delta_r and verify, evaluated on "
-                              "10^4-point grids; unvalidated by design, snr_gain_g is its "
-                              "checked form",
+    "snr_gain_g_coefficient": "verify's grid kernel only, evaluated on 10^4-point grids; "
+                              "unvalidated by design, snr_gain_g is its checked form",
 }
 # Entry points whose only numbers arrive inside objects built (and checked) by
 # the rows of SystemConfig, ChannelStats and ExpectationSpec.

@@ -3,8 +3,10 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -29,7 +31,9 @@ from relayrates import (
     suboptimal_delta_s,
     theta_sweep,
 )
+from relayrates.optimize import _DELTA_GRID
 from relayrates.rates import RATE_FN, common_draws, exp_draws
+from test_contract import BLOCKS, log_uniform
 
 HIGH_SNR_LIMIT_M50 = (math.sqrt(96.0) - 2.0) / 46.0  # limit of the closed form as P grows
 
@@ -108,6 +112,20 @@ class TestClosedGridRounding:
         self.assert_same_bits(lo, hi, step)
 
 
+def _root_60_digits(m, p, sigma, n0):
+    """The relay fraction in 60-digit decimal arithmetic.
+
+    With x = m p sigma^2 and B = 2x + (m-2) n0, the gain is a(1-a) / (B + (m-4) x a)
+    up to a factor free of a; its maximizer is the root in (0, 1) of
+    (m-4) x a^2 + 2B a - B = 0, written here without a subtraction.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = m * Decimal(p) * Decimal(sigma) ** 2
+        b = 2 * x + (m - 2) * Decimal(n0)
+        return b / (b + (b * b + (m - 4) * x * b).sqrt())
+
+
 class TestOptimalDeltaR:
     def test_reference_point(self):
         assert optimal_delta_r(50, 100.0, 1.0, 1.0) == pytest.approx(0.170, abs=1e-3)
@@ -123,6 +141,32 @@ class TestOptimalDeltaR:
 
     def test_high_snr_limit(self):
         assert abs(optimal_delta_r(50, 1e6, 1.0, 1.0) - HIGH_SNR_LIMIT_M50) <= 1e-4
+        # s = m p sigma^2 / n0 at both ends of the float range: the limits to 2 ulps
+        for m in (6, 10, 50, 200, 2_000_000):
+            high = 1.0 / (1.0 + math.sqrt((m - 2) / 2))
+            assert abs(optimal_delta_r(m, 1e300, 1.0, 1.0) - high) <= 2 * math.ulp(high), m
+            assert abs(optimal_delta_r(m, 1e-300, 1.0, 1.0) - 0.5) <= 2 * math.ulp(0.5), m
+        assert 1.0 / (1.0 + math.sqrt(24.0)) == pytest.approx(HIGH_SNR_LIMIT_M50, rel=1e-15)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(m=BLOCKS, p=log_uniform(), sigma=log_uniform(), n0=log_uniform())
+    @example(m=2522, p=7.74e-174, sigma=6.65e42, n0=1.05e-79)  # every gain underflows
+    @example(m=10, p=1.03e-3, sigma=1.43e-3, n0=295.0)  # the quadratic's numerator cancels
+    def test_exact_and_total(self, m, p, sigma, n0):
+        delta = optimal_delta_r(m, p, sigma, n0)
+        assert math.isfinite(delta) and 0.0 < delta <= 0.5
+        assert abs(Decimal(delta) - _root_60_digits(m, p, sigma, n0)) <= Decimal("4e-16")
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(3, 1000).map(lambda k: 2 * k), p=log_uniform(-3.0, 3.0),
+           sigma=log_uniform(-3.0, 3.0), n0=log_uniform(-3.0, 3.0))
+    def test_grid_objective_is_the_gain_over_a_constant(self, m, p, sigma, n0):
+        # the in-function check maximizes a(1-a) / (1 + c a): the gain up to a factor
+        s = m * p * sigma**2 / n0
+        c = (m - 4) * s / (2 * s + m - 2)
+        a = _DELTA_GRID[1:-1]
+        ratio = snr_gain_g_coefficient(a, p, sigma, n0, m) * (1.0 + c * a) / (a * (1.0 - a))
+        assert np.ptp(ratio) <= 1e-13 * np.max(ratio)
 
     def test_stays_inside_open_unit_interval(self):
         for m in (6, 10, 50, 200):
@@ -141,6 +185,8 @@ class TestOptimalDeltaR:
             optimal_delta_r(50, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             optimal_delta_r(50, 100.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="for m=1000"):  # m too large for a float
+            optimal_delta_r(10**400, 100.0, 1.0, 1.0)
 
     def test_training_share_shrinks_with_link_quality(self):
         # the fraction decreases monotonically and approaches the high-power

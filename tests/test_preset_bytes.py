@@ -20,7 +20,9 @@ from relayrates.cli import main
 RECORDED_NUMPY = "2.4.6"
 
 PRESET_SHA256 = {
-    "fig1.csv": "4ccec580450835ba7996e43793b2fad88bb37c6c6383596d449adb1e32ac5ee1",
+    # re-recorded when optimal_delta_r took its subtraction-free root: 70 of 138
+    # rows moved, by at most 3.3e-16 relative
+    "fig1.csv": "24efd056c03c426de3285b0d9eaa32751e11aa844d500fca421995f9c66eda3a",
     "fig2_c1.csv": "df9cfb1522e405955ad467a71d3bbc7bbc668fe70d407981bf2485eb9d0f26f4",
     "fig2_c2.csv": "ca33a3ad951e8a4d53cbdb89fcd30cf20cf08662cf77394e99bf6c2eb87a6775",
     "fig2_c3.csv": "4661508e617ede8e96390f42d713cfea0e911e76f635bddaef1e39d4259e84e0",
