@@ -15,9 +15,10 @@ every power split (common random numbers), independent of any parallelism
 in the caller. A sweep generates its three draw vectors once per call
 (``common_draws``); every grid point rescales them by its own gains into
 the set's scratch, where the integrands compute in place, bit for bit what a
-standalone call (which allocates per call) computes. A sweep holds
-3 x samples x 8 bytes of shared draws plus 4 x samples x 8 bytes of scratch
-per worker thread. Quadrature (weight: the exponential density) covers 1-D
+standalone call computes. A sweep holds 3 x samples x 8 bytes of shared
+draws plus 4 x samples x 8 bytes of scratch per worker thread; a standalone
+call scales its fresh draws in place and holds 4 arrays of samples floats
+(AF) or 2 (DF). Quadrature (weight: the exponential density) covers 1-D
 and 2-D expectations. The module also holds what the optimizer
 and the oracles share: ``RATE_FN``, ``closed_grid`` and the search result.
 """
@@ -47,7 +48,7 @@ COMBINING = "combining"
 
 # numpy's Gauss-Laguerre rule overflows (NaN weights) from 187 nodes on.
 MAX_NODES = 186
-# A standalone 3-D Monte Carlo call holds a few float64 arrays of this length;
+# A standalone Monte Carlo call holds 4 (AF) or 2 (DF) float64 arrays of this length;
 # a sweep holds 3 shared draws plus 4 scratch per thread: 240 MB + 320 MB/thread.
 MAX_SAMPLES = 10**7
 MAX_GRID_POINTS = 1_000_000
@@ -236,23 +237,31 @@ def _expectation(integrand: Callable[..., np.ndarray], coefficients: Sequence[fl
     """Mean and standard error of ``integrand(c_1 X_1, ..., c_k X_k)``.
 
     The X_i are independent exponential(1) variables: Monte Carlo takes
-    X_i from stream ``tags[i]`` (from ``draws`` when it holds the stream,
-    else drawn now) and scales it by c_i into a ``DrawSet``'s scratch or a new
-    array; Gauss-Laguerre (k <= 2) evaluates the tensor rule. The integrand
-    may overwrite its arrays. The mean must be finite and within the samples.
+    X_i from stream ``tags[i]`` and scales it by c_i: a stream that ``draws``
+    holds into a ``DrawSet``'s scratch or a new array, a fresh draw in place.
+    Gauss-Laguerre (k <= 2) evaluates the tensor rule. The integrand may
+    overwrite its arrays, and the engine writes only into arrays it made.
+    The mean must be finite and within the samples.
     """
     if spec.method is Method.MONTE_CARLO:
         n = spec.samples
         scratch = _scratch(draws, spec)
         draws = draws or {}
         streams = [(spec.seed, tag, n) for tag in tags]
-        values = np.asarray(integrand(*[
-            np.multiply(c, draws[key] if key in draws else exp_draws(*key), out=buf)
-            for c, key, buf in zip(coefficients, streams, scratch)]), dtype=float)
+        args = [np.multiply(c, draws[key], out=buf) if key in draws
+                else np.multiply(c, fresh := exp_draws(*key), out=fresh)
+                for c, key, buf in zip(coefficients, streams, scratch)]
+        values = np.asarray(integrand(*args), dtype=float)
         if values.shape != (n,):
             raise ValueError("integrand must map (n,) arrays to an (n,) array")
-        mean = float(values.mean())
-        std_error = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        lo, hi = float(np.min(values)), float(np.max(values))
+        # numpy's mean and std(ddof=1), ufunc for ufunc, with the deviations in
+        # args[0]: the engine's own array, which values may be but need not be
+        mean, std_error = float(np.add.reduce(values) / n), 0.0
+        if n > 1:
+            dev = np.subtract(values, mean, out=args[0])
+            dev *= dev
+            std_error = math.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n)
     else:
         x, w, w2 = _laguerre_rule(spec.nodes)
         if len(coefficients) == 1:
@@ -265,7 +274,7 @@ def _expectation(integrand: Callable[..., np.ndarray], coefficients: Sequence[fl
                                           c_j * np.broadcast_to(x[None, :], shape)), dtype=float)
             mean = float(np.sum(w2 * values))
         std_error = 0.0
-    lo, hi = float(np.min(values)), float(np.max(values))
+        lo, hi = float(np.min(values)), float(np.max(values))
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
     if not (math.isfinite(mean) and lo - slack <= mean <= hi + slack):
         raise ArithmeticError(f"mean {mean} lies outside the sampled range [{lo}, {hi}]")
@@ -331,7 +340,8 @@ def snr_gain_g(a: float, b: float, c: float, n0: float, m: int, w_sq) -> np.ndar
 def _combine(x: np.ndarray, y: np.ndarray, out=None, spare=None):
     # f_combiner's formula, unchecked, into ``out`` with the denominator in ``spare``:
     # the AF integrand's gains times exponential draws are finite and nonnegative
-    den = np.add(1.0, np.add(x, y, out=spare), out=spare)
+    den = np.add(x, y, out=spare)
+    den += 1.0  # in place into an array; rebinds the numpy scalar of 0-d inputs
     return np.divide(np.multiply(x, y, out=out), den, out=out)
 
 

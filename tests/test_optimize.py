@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -393,6 +394,23 @@ class TestCommonDraws:
             assert not shared.flags.writeable
             assert (hashlib.sha256(shared.tobytes()).hexdigest()
                     == hashlib.sha256(exp_draws(*args).tobytes()).hexdigest())
+
+    @pytest.mark.parametrize("sweep", ["theta_sweep", "joint_allocation"])
+    def test_peak_memory_of_a_warm_sweep(self, sweep):
+        # 3 shared draws and 4 scratch buffers of 10^5 floats are 5.6 MB; the
+        # reduction writes its deviations into the scratch, not a new array
+        run = {"theta_sweep": lambda: theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF,
+                                                  MC_FULL, grid_step=0.1),
+               "joint_allocation": lambda: joint_allocation(100.0, STATS, 50, Scheme.AF,
+                                                            MC_FULL, theta_step=0.1)}[sweep]
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.8e6
 
 
 FAULT_PROBE = """

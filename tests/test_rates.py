@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relayrates import (
     COMBINING,
@@ -25,7 +26,7 @@ from relayrates import (
     mmse_quality,
     snr_gain_g,
 )
-from relayrates.rates import MAX_NODES, MAX_SAMPLES
+from relayrates.rates import MAX_NODES, MAX_SAMPLES, RATE_FN
 
 # E[ln(1 + x)] for x ~ Exp(1), frozen from e * E1(1) (scipy.special.exp1);
 # re-derived against scipy in test_reference_value_matches_exp1 below.
@@ -169,6 +170,91 @@ class TestExpectationEngine:
             ExpectationSpec(dims=1, method=Method.GAUSS_LAGUERRE, nodes=MAX_NODES + 1)
         spec = ExpectationSpec(dims=1, method=Method.GAUSS_LAGUERRE, nodes=MAX_NODES)
         assert abs(expect_over_exponentials(np.log1p, spec)[0] - LOG1P_EXP_MEAN) <= 1e-6
+
+
+def _sample(kind, n, seed):
+    """n floats: one constant, standard normals, or random signs at log-uniform magnitudes."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return np.full(n, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))
+    if kind == "mixed_sign":
+        return rng.normal(size=n)
+    return rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-300, 300, size=n)
+
+
+class TestMonteCarloReduction:
+    """The engine's mean and standard error are numpy's, bit for bit, on any numpy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4096), kind=st.sampled_from(["constant", "mixed_sign", "log_uniform"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=100_000, kind="constant", seed=1)
+    @example(n=100_000, kind="mixed_sign", seed=2)
+    @example(n=100_000, kind="log_uniform", seed=3)
+    def test_mean_and_std_error_match_numpy(self, n, kind, seed):
+        arr = _sample(kind, n, seed)
+        spec = ExpectationSpec(dims=1, samples=n)
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e300 magnitudes overflow a sum
+            mean = float(arr.mean())
+            if not math.isfinite(mean):
+                with pytest.raises(ArithmeticError, match="sampled range"):
+                    expect_over_exponentials(lambda x: arr.copy(), spec)
+                return
+            std_error = float(arr.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+            got = expect_over_exponentials(lambda x: arr.copy(), spec)
+        assert [v.hex() for v in got] == [mean.hex(), std_error.hex()]
+
+    def test_a_view_of_the_argument_is_reduced_in_its_own_order(self):
+        # the deviations go into the argument the view reads from
+        draws = exp_draws(0, 0, 5_001)[::-1]
+        got = expect_over_exponentials(lambda x: x[::-1], ExpectationSpec(dims=1, samples=5_001))
+        assert got == (float(draws.mean()), float(draws.std(ddof=1)) / math.sqrt(5_001))
+
+
+class TestEngineOwnership:
+    """The engine writes only into arrays it made."""
+
+    def test_an_integrand_that_keeps_its_result_finds_it_unchanged(self):
+        kept = np.linspace(-3.0, 5.0, 1_000) ** 3
+        before = kept.tobytes()
+        got = expect_over_exponentials(lambda x: kept, ExpectationSpec(dims=1, samples=1_000))
+        assert kept.tobytes() == before
+        assert got == (float(kept.mean()), float(kept.std(ddof=1)) / math.sqrt(1_000))
+
+    def test_a_read_only_result_works(self):
+        frozen = np.linspace(0.0, 1.0, 1_000)
+        frozen.flags.writeable = False
+        got = expect_over_exponentials(lambda x: frozen, ExpectationSpec(dims=1, samples=1_000))
+        assert got == (float(frozen.mean()), float(frozen.std(ddof=1)) / math.sqrt(1_000))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_a_plain_dict_of_draws_is_never_written(self, scheme):
+        spec = ExpectationSpec(dims=3, samples=2_000, seed=19)
+        draws = {(19, tag, 2_000): exp_draws(19, tag, 2_000) for tag in (W_SD, W_SR, W_RD)}
+        before = {key: vector.tobytes() for key, vector in draws.items()}
+        for vector in draws.values():
+            vector.flags.writeable = False
+        rate = RATE_FN[scheme](_cfg(scheme=scheme), _stats(), spec, draws=draws)
+        assert {key: vector.tobytes() for key, vector in draws.items()} == before
+        alone = RATE_FN[scheme](_cfg(scheme=scheme), _stats(), spec)
+        assert (rate.value, rate.std_error, rate.parts) == (alone.value, alone.std_error,
+                                                            alone.parts)
+
+
+@pytest.mark.parametrize("scheme, limit", [(Scheme.AF, 3.3e6), (Scheme.DF_REPETITION, 1.7e6),
+                                           (Scheme.DF_PARALLEL, 1.7e6)])
+def test_peak_memory_of_a_standalone_call(scheme, limit):
+    # 10^5 floats are 0.8 MB: AF holds its three scaled draws and one denominator,
+    # DF its two combining draws, and no call copies a draw or its deviations
+    spec = ExpectationSpec(dims=3, samples=100_000, seed=1)
+    RATE_FN[scheme](_cfg(scheme=scheme), _stats(), spec)
+    tracemalloc.start()
+    try:
+        RATE_FN[scheme](_cfg(scheme=scheme), _stats(), spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
 
 
 class TestAfRate:
