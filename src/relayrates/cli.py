@@ -12,8 +12,8 @@ Values come from three places, in rising precedence: a bundled preset
 line, ``#`` comments, keys named like the long options) and explicit flags.
 The first two are spelled out as flags ahead of the explicit ones, and
 argparse parses, type-checks and requires every value once. All CSV output
-is deterministic: same flags, same bytes, whatever the worker count. Set
-``RELAYRATES_OUTDIR`` to prefix relative output paths.
+is deterministic: same flags, same bytes. Set ``RELAYRATES_OUTDIR`` to
+prefix relative output paths.
 """
 
 from __future__ import annotations
@@ -248,7 +248,7 @@ def cmd_sweep_theta(args) -> int:
     for triple in triples:
         stats = ChannelStats(*triple, n0=args.n0)
         curve = theta_sweep(args.p, stats, args.m, args.delta_s, args.delta_r, scheme, spec,
-                            grid_step=args.theta_step, workers=args.workers)
+                            grid_step=args.theta_step)
         rows = [[theta, est.value, est.std_error, args.scheme, *triple, args.p, args.m,
                  args.delta_s, args.delta_r, args.seed]
                 for theta, est in curve]
@@ -421,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--delta-s", type=float, required=True)
     p_sweep.add_argument("--delta-r", type=float, required=True)
     p_sweep.add_argument("--theta-step", type=float, default=0.01)
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", required=True)
     add_common(p_sweep)
     add_rate_common(p_sweep)

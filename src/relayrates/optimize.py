@@ -5,15 +5,14 @@ per-link SNR gain; its closed form is exact to a few ulps for every m < 2^53.
 The source fraction has none; two candidates (one per link) are evaluated.
 The source/relay power split theta is swept on a grid with common random
 numbers, free of sampling noise between grid points: a sweep call draws its
-three |w|^2 vectors once (3 x samples x 8 bytes) and every point rescales them
-into one scratch workspace (4 x samples x 8 bytes per worker thread).
+three |w|^2 vectors once and every point rescales them into one scratch
+workspace (``rates.common_draws`` states the memory).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -122,37 +121,27 @@ def _rate_at(theta: float, total_power: float, stats: ChannelStats, m: int,
 
 def theta_sweep(total_power: float, stats: ChannelStats, m: int, delta_s: float,
                 delta_r: float, scheme: Scheme, spec: ExpectationSpec,
-                grid_step: float = 0.01, workers: int = 1) -> list[tuple[float, RateEstimate]]:
+                grid_step: float = 0.01) -> list[tuple[float, RateEstimate]]:
     """Rate at every theta on the closed grid [0, 1], common random numbers.
 
-    The three |w|^2 vectors of ``spec`` are drawn once per call (3 x samples
-    x 8 B); each point rescales them into its thread's scratch (4 x samples
-    x 8 B per worker) and equals a standalone rate call bit for bit, for any
-    worker count.
+    The three |w|^2 vectors of ``spec`` are drawn once per call
+    (``common_draws``); each point rescales them into the set's scratch and
+    equals a standalone rate call bit for bit.
     """
     check_real("grid_step", grid_step, hi=1.0, open_lo=True)
-    check_int("workers", workers, 1)
     thetas = closed_grid(0.0, 1.0, grid_step)
     draws = common_draws(spec)
-
-    def evaluate(theta: float) -> RateEstimate:
-        return _rate_at(theta, total_power, stats, m, delta_s, delta_r, scheme, spec, draws)
-
-    if workers == 1:
-        estimates = [evaluate(t) for t in thetas]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(evaluate, thetas))
-    return list(zip(thetas, estimates))
+    return [(theta, _rate_at(theta, total_power, stats, m, delta_s, delta_r, scheme, spec, draws))
+            for theta in thetas]
 
 
 def optimize_theta(total_power: float, stats: ChannelStats, m: int, delta_s: float,
                    delta_r: float, scheme: Scheme, spec: ExpectationSpec,
-                   grid_step: float = 0.01, workers: int = 1) -> AllocationResult:
+                   grid_step: float = 0.01) -> AllocationResult:
     """Best power split on the theta grid (ties to the smaller theta)."""
     check_real("grid_step", grid_step, hi=0.1, open_lo=True)
     curve = theta_sweep(total_power, stats, m, delta_s, delta_r, scheme, spec,
-                        grid_step=grid_step, workers=workers)
+                        grid_step=grid_step)
     best_theta, best_rate = max(curve, key=lambda point: (point[1].value, -point[0]))
     return AllocationResult(argument=best_theta, rate=best_rate, evaluations=len(curve))
 

@@ -24,6 +24,7 @@ import numpy as np
 from .channel import (ChannelStats, EstimationQuality, Scheme, SystemConfig, _check_link,
                       check_int, check_real, data_symbol_energy, mmse_quality)
 from .rates import (
+    MAX_SAMPLES,
     AllocationResult,
     ExpectationSpec,
     Method,
@@ -78,7 +79,7 @@ def simulate_training_quality(sigma: float, delta: float, m: int, p: float, n0: 
     returned pair is empirical; it matches :func:`relayrates.channel.mmse_quality`
     only within sampling error (about var/sqrt(trials)).
     """
-    check_int("trials", trials, 1)
+    check_int("trials", trials, 1, MAX_SAMPLES)
     _check_link(sigma, delta, m, p, n0)
 
     s2 = sigma * sigma
@@ -99,7 +100,7 @@ def _vector_channel(cfg: SystemConfig, stats: ChannelStats, seed: int, n: int):
     power limit, A (n, 2), the mixed-noise covariance (n, 2, 2) and the
     energy moments (ex_s, ex_r, ez_r, ez_d, ez_dr).
     """
-    check_int("count", n, 0)
+    check_int("count", n, 0, MAX_SAMPLES)
     q_sd = mmse_quality(stats.sigma_sd, cfg.delta_s, cfg.m, cfg.p_s, stats.n0)
     q_sr = mmse_quality(stats.sigma_sr, cfg.delta_s, cfg.m, cfg.p_s, stats.n0)
     q_rd = mmse_quality(stats.sigma_rd, cfg.delta_r, cfg.m, cfg.p_r, stats.n0)

@@ -11,15 +11,13 @@ decoding term log(1 + g_sr) and a combining term.
 
 Monte Carlo draws come from counter-based Philox streams keyed by
 (seed, role), so identical seeds give identical draws for every scheme and
-every power split (common random numbers), independent of any parallelism
-in the caller. A sweep generates its three draw vectors once per call
-(``common_draws``); every grid point rescales them by its own gains into
-the set's scratch, where the integrands compute in place, bit for bit what a
-standalone call computes. A sweep holds 3 x samples x 8 bytes of shared
-draws plus 4 x samples x 8 bytes of scratch per worker thread; a standalone
-call scales its fresh draws in place and holds 4 arrays of samples floats
-(AF) or 2 (DF). Quadrature (weight: the exponential density) covers 1-D
-and 2-D expectations. The module also holds what the optimizer
+every power split (common random numbers). A sweep generates its three draw
+vectors once per call (``common_draws``, which states their memory); every
+grid point rescales them by its own gains into the set's scratch, where the
+integrands compute in place, bit for bit what a standalone call computes. A
+standalone call scales its fresh draws in place and holds 4 arrays of
+samples floats (AF) or 2 (DF). Quadrature (weight: the exponential density)
+covers 1-D and 2-D expectations. The module also holds what the optimizer
 and the oracles share: ``RATE_FN``, ``closed_grid`` and the search result.
 """
 
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
@@ -49,7 +46,7 @@ COMBINING = "combining"
 # numpy's Gauss-Laguerre rule overflows (NaN weights) from 187 nodes on.
 MAX_NODES = 186
 # A standalone Monte Carlo call holds 4 (AF) or 2 (DF) float64 arrays of this length;
-# a sweep holds 3 shared draws plus 4 scratch per thread: 240 MB + 320 MB/thread.
+# a sweep holds 3 shared draws plus 4 scratch arrays: 560 MB (see common_draws).
 MAX_SAMPLES = 10**7
 MAX_GRID_POINTS = 1_000_000
 
@@ -186,12 +183,12 @@ def exp_draws(seed: int, tag: int, n: int) -> np.ndarray:
 
 
 class DrawSet(dict):
-    """Shared draws keyed by ``(seed, tag, samples)``, plus each thread's scratch."""
+    """Shared draws keyed by ``(seed, tag, samples)``, plus four scratch buffers."""
 
     def __init__(self, samples: int = 0):
         super().__init__()
         self.samples = samples
-        self.scratch = threading.local()
+        self.scratch = [np.empty(samples) for _ in range(4)]
 
 
 def common_draws(spec: ExpectationSpec) -> DrawSet:
@@ -202,8 +199,8 @@ def common_draws(spec: ExpectationSpec) -> DrawSet:
     vector of each stream it needs into the set's scratch and draws only a
     stream the set lacks, so the set saves work but never changes a value.
     It holds 3 x samples x 8 bytes of draws plus 4 x samples x 8 bytes of
-    scratch per thread that uses it: 2.4 MB + 3.2 MB at 10^5 samples,
-    240 MB + 320 MB at MAX_SAMPLES. Empty unless ``spec`` is Monte Carlo.
+    scratch, which is all a sweep holds: 5.6 MB at 10^5 samples, 560 MB at
+    MAX_SAMPLES. Empty unless ``spec`` is Monte Carlo.
     """
     if spec.method is not Method.MONTE_CARLO:
         return DrawSet()
@@ -216,13 +213,11 @@ def common_draws(spec: ExpectationSpec) -> DrawSet:
 
 
 def _scratch(draws: Mapping | None, spec: ExpectationSpec) -> list[np.ndarray | None]:
-    """This thread's four scratch buffers of a draw set sized for ``spec``, made once
-    so a sweep faults its temporaries in once; Nones (numpy allocates) otherwise."""
-    if not (isinstance(draws, DrawSet) and draws.samples == spec.samples):
-        return [None] * 4
-    if not hasattr(draws.scratch, "buffers"):
-        draws.scratch.buffers = [np.empty(spec.samples) for _ in range(4)]
-    return draws.scratch.buffers
+    """The four scratch buffers of a draw set sized for ``spec``, so a sweep faults
+    its temporaries in once; Nones (numpy allocates) otherwise."""
+    if isinstance(draws, DrawSet) and draws.samples == spec.samples:
+        return draws.scratch
+    return [None] * 4
 
 
 @lru_cache(maxsize=8)

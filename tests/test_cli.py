@@ -130,24 +130,25 @@ class TestSweepTheta:
         thetas = [line.split(",")[0] for line in lines[1:]]
         assert thetas == ["0.0", "0.5", "1.0"]
 
-    def test_bits_is_usage_error(self, tmp_path, capsys):
-        # --bits rescales the printed line of ``rate``; a sweep's CSV is in nats
+    # --bits rescales the printed line of ``rate``, and a sweep's CSV is in nats;
+    # a sweep runs one serial path, so there is no --workers to set
+    @pytest.mark.parametrize("flag", [["--bits"], ["--workers", "2"]])
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep-theta", "--preset", "fig2", "--curve", "1", "--bits",
+            main(["sweep-theta", "--preset", "fig2", "--curve", "1", *flag,
                   "--out", str(tmp_path / "x.csv")])
         assert excinfo.value.code == 2
-        assert "--bits" in capsys.readouterr().err
+        assert flag[0] in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_bit_identical_across_runs_and_workers(self, tmp_path, capsys):
+    def test_bit_identical_across_runs(self, tmp_path, capsys):
         blobs = []
-        for i, workers in enumerate((1, 2, 8, 1)):
+        for i in range(3):
             out = tmp_path / f"run{i}.csv"
             code, _, _ = run(capsys, "sweep-theta", "--scheme", "df-par", "--p", "100",
                              "--m", "50", "--sigma", "1,4,4", "--delta-s", "0.1",
                              "--delta-r", "0.1", "--theta-step", "0.1",
-                             "--samples", "2000", "--seed", "5",
-                             "--workers", str(workers), "--out", str(out))
+                             "--samples", "2000", "--seed", "5", "--out", str(out))
             assert code == 0
             blobs.append(out.read_bytes())
         assert len(set(blobs)) == 1

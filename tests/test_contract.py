@@ -144,11 +144,9 @@ ROWS = {
     "theta_sweep": Row(theta_sweep, dict(SWEEP),
                        {"total_power": (NONNEG, "total"), "m": (BLOCK, "m"),
                         "delta_s": (FRACTION, "delta_s"), "delta_r": (FRACTION, "delta_r"),
-                        "grid_step": (Real(0.0, 1.0, open_lo=True), "grid_step"),
-                        "workers": (Int(1), "workers")}),
+                        "grid_step": (Real(0.0, 1.0, open_lo=True), "grid_step")}),
     "optimize_theta": Row(optimize_theta, dict(SWEEP, grid_step=0.1),
-                          {"grid_step": (Real(0.0, 0.1, open_lo=True), "grid_step"),
-                           "workers": (Int(1), "workers")}),
+                          {"grid_step": (Real(0.0, 0.1, open_lo=True), "grid_step")}),
     "joint_allocation": Row(joint_allocation, dict(total_power=100.0, stats=STATS, m=50,
                                                    scheme=Scheme.AF, spec=SPEC, theta_step=0.5),
                             {"total_power": (POSITIVE, "total_power"), "m": (BLOCK, "m"),
@@ -158,13 +156,16 @@ ROWS = {
                                           trials=10, seed=0),
                                      {"sigma": (NONNEG, "sigma"), "delta": (FRACTION, "delta"),
                                       "m": (BLOCK, "m"), "p": (NONNEG, "p"),
-                                      "n0": (POSITIVE, "n0"), "trials": (Int(1), "trials"),
+                                      "n0": (POSITIVE, "n0"),
+                                      "trials": (Int(1, MAX_SAMPLES), "trials"),
                                       "seed": (KEY, "seed")}),
     "vector_channel_samples": Row(vector_channel_samples, dict(cfg=CFG, stats=STATS, seed=0,
                                                                count=2),
-                                  {"seed": (KEY, "seed"), "count": (Int(0), "count")}),
+                                  {"seed": (KEY, "seed"),
+                                   "count": (Int(0, MAX_SAMPLES), "count")}),
     "max_identity_gap": Row(max_identity_gap, dict(cfg=CFG, stats=STATS, seed=0, count=2),
-                            {"seed": (KEY, "seed"), "count": (Int(0), "count")}),
+                            {"seed": (KEY, "seed"),
+                             "count": (Int(0, MAX_SAMPLES), "count")}),
     "logdet_integrand": Row(logdet_integrand,
                             dict(sample=vector_channel_samples(CFG, STATS, 0, 1)[0],
                                  signal_energy=10.0),

@@ -243,15 +243,6 @@ class TestOptimizeTheta:
         assert curve[0.0].value == 0.0
         assert math.isfinite(curve[1.0].value)
 
-    def test_sweep_is_worker_count_invariant(self):
-        stats = ChannelStats(1.0, 4.0, 4.0, 1.0)
-        spec = ExpectationSpec(dims=3, samples=2_000, seed=31)
-        serial = theta_sweep(100.0, stats, 50, 0.1, 0.1, Scheme.AF, spec, grid_step=0.1)
-        threaded = theta_sweep(100.0, stats, 50, 0.1, 0.1, Scheme.AF, spec,
-                               grid_step=0.1, workers=4)
-        assert [(t, r.value, r.std_error) for t, r in serial] == \
-               [(t, r.value, r.std_error) for t, r in threaded]
-
     def test_parallel_coding_prefers_source_heavy_split_for_weak_relay(self):
         # sigma = (1, 2, 1): cooperation buys little, so theta lands near 1
         stats = ChannelStats(sigma_sd=1.0, sigma_sr=2.0, sigma_rd=1.0, n0=1.0)
@@ -332,10 +323,9 @@ class TestCommonDraws:
             assert _bits(estimate) == _bits(_standalone(theta, 0.1, 0.1, scheme, spec))
 
     @pytest.mark.parametrize("scheme", list(Scheme))
-    @pytest.mark.parametrize("grid_step, workers", [(0.1, 1), (0.05, 1), (0.1, 2), (0.05, 8)])
-    def test_sweep_draws_each_stream_once(self, draw_calls, scheme, grid_step, workers):
-        theta_sweep(100.0, STATS, 50, 0.1, 0.1, scheme, MC,
-                    grid_step=grid_step, workers=workers)
+    @pytest.mark.parametrize("grid_step", [0.1, 0.05])
+    def test_sweep_draws_each_stream_once(self, draw_calls, scheme, grid_step):
+        theta_sweep(100.0, STATS, 50, 0.1, 0.1, scheme, MC, grid_step=grid_step)
         assert sorted(args for args, _ in draw_calls) == STREAMS
         assert not any(draws.flags.writeable for _, draws in draw_calls)
 
@@ -370,24 +360,8 @@ class TestCommonDraws:
         # the set lacks seed 53, so that call drew its streams itself
         assert sorted(args for args, _ in draw_calls[3:6]) == STREAMS
 
-    @pytest.mark.parametrize("scheme", list(Scheme))
-    @pytest.mark.parametrize("workers", [2, 8])
-    def test_threaded_sweep_points_equal_standalone_calls(self, scheme, workers):
-        # worker threads share one draw set, each with its own scratch; a short
-        # switch interval makes a shared buffer show up as a changed bit
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            curve = theta_sweep(100.0, STATS, 50, 0.1, 0.1, scheme, MC_FULL,
-                                grid_step=0.1, workers=workers)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(curve) == 11
-        for theta, estimate in curve:
-            assert _bits(estimate) == _bits(_standalone(theta, 0.1, 0.1, scheme, MC_FULL))
-
     def test_sweeps_leave_the_shared_draws_untouched(self, draw_calls):
-        theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF, MC_FULL, grid_step=0.1, workers=2)
+        theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF, MC_FULL, grid_step=0.1)
         joint_allocation(100.0, STATS, 50, Scheme.AF, MC_FULL, theta_step=0.1)
         assert len(draw_calls) == 6
         for args, shared in draw_calls:

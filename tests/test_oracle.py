@@ -370,6 +370,13 @@ def test_oracle_uses_no_linalg():
     assert "linalg" not in names | _imported_modules("oracle")
 
 
+def test_no_module_imports_threads():
+    # theta_sweep has one serial path, so a sweep holds one draw set's memory
+    # ("futures" is concurrent.futures)
+    for path in Path(relayrates.__file__).parent.glob("*.py"):
+        assert not {"threading", "futures"} & _imported_modules(path.stem), path.name
+
+
 # SHA-256 per AF_ORACLE_CONFIGS entry over the float.hex of af_rate_logdet
 # (value, SE) at 10^5 samples, max_identity_gap over 200 draws and
 # simulate_training_quality (both variances, 10^5 trials, each of the three
