@@ -243,6 +243,15 @@ class TestOptimizeTheta:
         assert curve[0.0].value == 0.0
         assert math.isfinite(curve[1.0].value)
 
+    @pytest.mark.parametrize("sweep", [theta_sweep, optimize_theta],
+                             ids=["theta_sweep", "optimize_theta"])
+    def test_workers_keyword_is_gone(self, sweep):
+        # a sweep has one serial path; no keyword picks a thread pool
+        stats = ChannelStats(1.0, 4.0, 4.0, 1.0)
+        spec = ExpectationSpec(dims=3, samples=2_000, seed=31)
+        with pytest.raises(TypeError, match="workers"):
+            sweep(100.0, stats, 50, 0.1, 0.1, Scheme.AF, spec, grid_step=0.1, workers=1)
+
     def test_parallel_coding_prefers_source_heavy_split_for_weak_relay(self):
         # sigma = (1, 2, 1): cooperation buys little, so theta lands near 1
         stats = ChannelStats(sigma_sd=1.0, sigma_sr=2.0, sigma_rd=1.0, n0=1.0)
@@ -323,7 +332,27 @@ class TestCommonDraws:
             assert _bits(estimate) == _bits(_standalone(theta, 0.1, 0.1, scheme, spec))
 
     @pytest.mark.parametrize("scheme", list(Scheme))
-    @pytest.mark.parametrize("grid_step", [0.1, 0.05])
+    def test_full_size_sweep_points_equal_standalone_calls(self, scheme):
+        # every point of one serial sweep rescales into the same four scratch
+        # buffers; a point that read another's leftovers would change a bit
+        curve = theta_sweep(100.0, STATS, 50, 0.1, 0.1, scheme, MC_FULL, grid_step=0.1)
+        assert len(curve) == 11
+        for theta, estimate in curve:
+            assert _bits(estimate) == _bits(_standalone(theta, 0.1, 0.1, scheme, MC_FULL))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_interleaved_sweeps_equal_lone_sweeps(self, scheme):
+        # each sweep call owns its draw set and scratch, so a sweep of another
+        # spec run in between changes no bit of a repeated one
+        other = ExpectationSpec(dims=3, samples=3_000, seed=59)
+        first = theta_sweep(100.0, STATS, 50, 0.1, 0.1, scheme, MC, grid_step=0.1)
+        between = theta_sweep(100.0, STATS, 50, 0.1, 0.1, scheme, other, grid_step=0.1)
+        again = theta_sweep(100.0, STATS, 50, 0.1, 0.1, scheme, MC, grid_step=0.1)
+        assert [(t, _bits(r)) for t, r in again] == [(t, _bits(r)) for t, r in first]
+        assert [_bits(r) for _, r in between] != [_bits(r) for _, r in first]
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("grid_step", [0.5, 0.25, 0.1, 0.05])
     def test_sweep_draws_each_stream_once(self, draw_calls, scheme, grid_step):
         theta_sweep(100.0, STATS, 50, 0.1, 0.1, scheme, MC, grid_step=grid_step)
         assert sorted(args for args, _ in draw_calls) == STREAMS
