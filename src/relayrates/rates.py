@@ -9,10 +9,11 @@ mean is finite and lies within the sampled values. AF integrates
 log(1 + g_sd + f(g_sr, g_rd)); both DF schemes take the min of the relay
 decoding term log(1 + g_sr) and a combining term.
 
-Monte Carlo draws come from counter-based Philox streams keyed by
-(seed, role), so identical seeds give identical draws for every scheme and
-every power split (common random numbers). A sweep generates its three draw
-vectors once per call (``common_draws``, which states their memory); every
+Monte Carlo draws invert counter-based Philox uniforms keyed by
+(seed, role) through numpy's vectorized ``log1p``, one uniform per draw, so
+sample i is the same in every context and identical seeds give identical
+draws for every scheme and every power split (common random numbers). A
+sweep generates its three draw vectors once per call (``common_draws``, which states their memory); every
 grid point rescales them by its own gains into the set's scratch, where the
 integrands compute in place, bit for bit what a standalone call computes. A
 standalone call scales its fresh draws in place and holds 4 arrays of
@@ -175,11 +176,15 @@ def stream(seed: int, tag: int) -> np.random.Generator:
 def exp_draws(seed: int, tag: int, n: int) -> np.ndarray:
     """n draws of |w|^2 for w ~ CN(0, 1), i.e. exponential(1).
 
-    Inversion sampling consumes exactly one uniform per draw, so sample i of
-    a given (seed, tag) stream is the same value in every context.
+    Inversion of the stream's uniforms, -log1p(-u), through numpy's
+    vectorized ``log1p`` in place: exactly one uniform per draw, so sample i
+    of a given (seed, tag) stream is the same value in every context.
     """
     check_int("n", n, 0, MAX_SAMPLES)
-    return stream(seed, tag).standard_exponential(n, method="inv")
+    u = stream(seed, tag).random(n)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
 
 
 class DrawSet(dict):

@@ -2,12 +2,17 @@
 
 ``sweep-sigma-rd --preset fig1`` and ``sweep-theta --preset fig2`` to
 ``fig7`` at ``--seed 3`` with default samples, run in-process, must give the
-SHA-256 digests below. They were recorded before sweeps drew their streams
-once per call, so they also pin that the reuse changes no byte. A change
-that is meant to move bytes updates the digests and says why.
+SHA-256 digests below. A change that is meant to move bytes updates the
+digests and says why.
 
-The digests depend on numpy's Philox stream and its ``log1p``, so the test
-runs only under the numpy version they were recorded with.
+The digests depend on numpy's Philox stream and on its ``log1p``, so the
+test runs only under the numpy version they were recorded with. They depend
+on the CPU too: numpy dispatches ``log1p`` to SIMD kernels by CPU feature,
+and the draws (``exp_draws``) and the integrands both call it. They were
+recorded with X86_V4, AVX512_ICL and AVX512_SPR found. With those masked off
+(``NPY_DISABLE_CPU_FEATURES``), ``np.log1p`` returns libm's bits, which
+differ in the last bit on a few percent of inputs, so a CPU without
+AVX-512 can fail this test on a correct build.
 """
 
 import hashlib
@@ -23,30 +28,33 @@ PRESET_SHA256 = {
     # re-recorded when optimal_delta_r took its subtraction-free root: 70 of 138
     # rows moved, by at most 3.3e-16 relative
     "fig1.csv": "24efd056c03c426de3285b0d9eaa32751e11aa844d500fca421995f9c66eda3a",
-    "fig2_c1.csv": "df9cfb1522e405955ad467a71d3bbc7bbc668fe70d407981bf2485eb9d0f26f4",
-    "fig2_c2.csv": "ca33a3ad951e8a4d53cbdb89fcd30cf20cf08662cf77394e99bf6c2eb87a6775",
-    "fig2_c3.csv": "4661508e617ede8e96390f42d713cfea0e911e76f635bddaef1e39d4259e84e0",
-    "fig2_c4.csv": "dd552b02bf019eaf881653d762cee406be1b3c8255eea96e1fb903214aa50d93",
-    "fig3_c1.csv": "842faf7dacce4d0b05fe01b8c7c94ee37ff25948d2fa125b7c38c971b9d6d4e9",
-    "fig3_c2.csv": "e0d48f0853fa361c771d143b5b4f5db3378e3db16c9926d0eec479972b1b1b6f",
-    "fig3_c3.csv": "0eddfe0dfa05147a3eda060c85acbdcbf7b57379e0bb631852e55f7602ab56df",
-    "fig3_c4.csv": "06a17ee93727195e8257bed3fc6c73015de102dd61592e5bce6c23c4e53a3896",
-    "fig4_c1.csv": "e56003bddbd239490acd88bec6cbb814aac46c3dec73ea2604765722682182c6",
-    "fig4_c2.csv": "43e747e6b8ddcaacdb80f926c69c8c923762f4199526aa1df9bf1e7ac62d123b",
-    "fig4_c3.csv": "c84e66920a1b117498a7c539e22dfa473f58f4c2c5f7980c1357507a4c3ad9dc",
-    "fig4_c4.csv": "b685f5577c1d1f7d413fd1a56d633aa8db0b118451d19ac5af467c03d3f225aa",
-    "fig5_c1.csv": "9cd7f52673e01264e22aa83b67c85e9047faa2866024b96d295728185bf9027d",
-    "fig5_c2.csv": "29ca40a3645368e60dcb555d34b3a2058e5e081446fe059e4ac8a29f4b4aa883",
-    "fig5_c3.csv": "453e55a5368ad703a46317927204e64b201c83f8629a83ca3c01b622cff8f35a",
-    "fig5_c4.csv": "4780e1cd836c9126e69ecd56b10cec3983a78a19f6e76f15d684014795f69eeb",
-    "fig6_c1.csv": "4dc06a946022ca4d7c1aa99c5691346855e11804c1fb8a590888c2c04bd31e30",
-    "fig6_c2.csv": "0032b778062c749f1730da5b9434f435b264fc3977ea8f5752aaf6837b5eb01b",
-    "fig6_c3.csv": "8c632682b48ddf16a2ec008150a5a5102ac4b1bbd7064f81667b88b362447f35",
-    "fig6_c4.csv": "45a474c7264068fefcc1794bf009740bdb17e3f07a58deefe7abd3bd1250177c",
-    "fig7_c1.csv": "a9f44753ac3b53a42b432ac7f42ad796f595417142f43de8643d2abe0f37498f",
-    "fig7_c2.csv": "b325eb70bf6476f333c632c8d4a620433b1b306d9a53c7cac7e7f8c012e35d38",
-    "fig7_c3.csv": "f9db2f4926bd0416651fe73e54615dd954d915d0271e890c22bb1fdef3104c9d",
-    "fig7_c4.csv": "387ee3f113682af9cfa1492eb817f70e471b55c32de1e0538d204a0bb3649bb3",
+    # the other 24 re-recorded when exp_draws took numpy's vectorized log1p:
+    # 111 of 2424 rows moved; 52 rate_nats values by at most 3.4e-16 relative,
+    # 62 std_error values by at most 2.9e-16 relative
+    "fig2_c1.csv": "00f9262652d672cde8394e6a9c6264a612ab4b924d145cabcc4a2523e536e084",
+    "fig2_c2.csv": "73c8f303ed673ef671085916909d6a04307d506dcc79c45d1ab805371c72d7e7",
+    "fig2_c3.csv": "890a32b153dd98277e64372cb82da0c7e608249377b09e651042779f1a4d8694",
+    "fig2_c4.csv": "52d9f7cdb3eb0718ab63c7eb95cb537eb16ced46e7d175399bff7cdb631d56a4",
+    "fig3_c1.csv": "a73c854f1fea00c0f13f7a4ee5f710da7c02fd4939761100b495c95b0705b3ba",
+    "fig3_c2.csv": "7b63e739e8b165ab7d8fe2b3c8ceaab74760ea4213491b3e770a7fc0ed069bcf",
+    "fig3_c3.csv": "eefa21b2cd743c42661a89e075cdaf27f6bd2d708470ef28e2d3281fc8ae69df",
+    "fig3_c4.csv": "e6e46a37a93362301bbc133f12c48bbf7d8c428359b898476db01cb20a2370bb",
+    "fig4_c1.csv": "ae3ff3062f4ed1ec09afcef10c55235957ca158d6340471bcb9cc9fbe4da03e4",
+    "fig4_c2.csv": "061522f299572680f41d220b027806f959f140d429928d45195a844550b7c8fa",
+    "fig4_c3.csv": "4dcce12676dcbc56d9917f779f51abfc622fb79d66115bc345cfe77c89004236",
+    "fig4_c4.csv": "9cfc28e690dc524abfd9cccf8d20e8795337660320309c807786dd31492f7fa5",
+    "fig5_c1.csv": "355f044ec37c830516f7b5cb7ece5118c2a93ab018144436201a4567a0eefb55",
+    "fig5_c2.csv": "316bd42e0fa691676d40d08155f5747fdf286e8b7737b53b1fef523a63169ddf",
+    "fig5_c3.csv": "737535700c2b774d00ec8107c11032fa86519859b86e3bf773d10477439ae03c",
+    "fig5_c4.csv": "b7a2a5ebe76d96436966895685ae4359876018686a7678250036623f4ac21205",
+    "fig6_c1.csv": "0fa8eefbca81d4604159c5883d616917b4d92f4e5d1e96bfe3bee7ad65c61425",
+    "fig6_c2.csv": "4c5d0e872d12bc26e515a9ef811f62a63b95df952b1de22b10dc2625ed0466c0",
+    "fig6_c3.csv": "c50ba2cb89385e3126a81147bf6c5ddd5041f8c9996f9a71e10bb67ceaf3ea34",
+    "fig6_c4.csv": "0ca49673b068588d4949bbc15aa6d58da9d9dfea92ef44fdccf1c1931b163993",
+    "fig7_c1.csv": "338174ca8c10c169a0f793ec9ab334da264bb9765d0e1d9dd85814ea691bd0bd",
+    "fig7_c2.csv": "6330dcd1766b74878edad4d33556fa07e6baf5bd52aadbddbabf836378517ec8",
+    "fig7_c3.csv": "a23c1b9270d4bf0d8dafa6afa108043885885da5bad3ca312c0d3e26be03761e",
+    "fig7_c4.csv": "93ec7c77b7cff25418181070674b6de3202c311599d70236dcd1edc69dd4a676",
 }
 
 COMMANDS = [["sweep-sigma-rd", "--preset", "fig1", "--out", "fig1.csv"]] + [

@@ -1,10 +1,16 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import relayrates
 from relayrates import (
     COMBINING,
     RELAY_DECODING,
@@ -26,7 +32,8 @@ from relayrates import (
     mmse_quality,
     snr_gain_g,
 )
-from relayrates.rates import MAX_NODES, MAX_SAMPLES, RATE_FN
+from relayrates.rates import MAX_NODES, MAX_SAMPLES, RATE_FN, stream
+from test_preset_bytes import RECORDED_NUMPY
 
 # E[ln(1 + x)] for x ~ Exp(1), frozen from e * E1(1) (scipy.special.exp1);
 # re-derived against scipy in test_reference_value_matches_exp1 below.
@@ -180,6 +187,47 @@ def _sample(kind, n, seed):
     if kind == "mixed_sign":
         return rng.normal(size=n)
     return rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-300, 300, size=n)
+
+
+LIBM_LOG1P_PROBE = """
+import numpy as np
+from relayrates.rates import exp_draws, stream
+
+for seed in range(3):
+    for tag in range(3):
+        inv = stream(seed, tag).standard_exponential(100_000, method="inv")
+        assert np.array_equal(exp_draws(seed, tag, 100_000), inv), (seed, tag)
+"""
+
+
+class TestExpDraws:
+    """Draws invert one Philox uniform each through numpy's vectorized log1p."""
+
+    def test_one_uniform_per_draw_through_np_log1p(self):
+        for seed, tag, n in [(0, W_SD, 0), (9, W_SR, 1), (2**64 - 1, W_RD, 10_000)]:
+            expected = -np.log1p(-stream(seed, tag).random(n))
+            assert np.array_equal(exp_draws(seed, tag, n), expected)
+
+    def test_within_one_ulp_of_generator_inversion(self):
+        # numpy's SIMD log1p may differ from libm's in the last bit only
+        worst = 0
+        for seed in range(50):
+            for tag in (W_SD, W_SR, W_RD):
+                ours = exp_draws(seed, tag, 10_000)
+                inv = stream(seed, tag).standard_exponential(10_000, method="inv")
+                worst = max(worst, int(np.abs(ours.view(np.int64) - inv.view(np.int64)).max()))
+        assert worst <= 1
+
+    @pytest.mark.skipif(np.__version__ != RECORDED_NUMPY or platform.machine() != "x86_64",
+                        reason=f"names the x86 CPU features of numpy {RECORDED_NUMPY}")
+    def test_equals_generator_inversion_without_avx512_log1p(self):
+        """With AVX-512 masked off, np.log1p is libm's, so the only difference is the dispatch."""
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+        package_root = str(Path(relayrates.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        probe = subprocess.run([sys.executable, "-c", LIBM_LOG1P_PROBE], env=env,
+                               capture_output=True, text=True)
+        assert probe.returncode == 0, probe.stderr
 
 
 class TestMonteCarloReduction:
