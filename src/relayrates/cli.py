@@ -12,8 +12,7 @@ Values come from three places, in rising precedence: a bundled preset
 line, ``#`` comments, keys named like the long options) and explicit flags.
 The first two are spelled out as flags ahead of the explicit ones, and
 argparse parses, type-checks and requires every value once. All CSV output
-is deterministic: same flags, same bytes. Set ``RELAYRATES_OUTDIR`` to
-prefix relative output paths.
+is deterministic: same flags, same bytes.
 """
 
 from __future__ import annotations
@@ -123,14 +122,6 @@ def _parse_sigma(text: str) -> tuple[float, float, float]:
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
-
-
-def _resolve_out(path: str) -> str:
-    outdir = os.environ.get("RELAYRATES_OUTDIR")
-    if outdir and not os.path.isabs(path):
-        os.makedirs(outdir, exist_ok=True)
-        return os.path.join(outdir, path)
-    return path
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -254,11 +245,10 @@ def cmd_sweep_theta(args) -> int:
                 for theta, est in curve]
         outputs.append(rows)
 
-    out = _resolve_out(args.out)
     if len(outputs) == 1:
-        paths = [out]
+        paths = [args.out]
     else:
-        stem, ext = os.path.splitext(out)
+        stem, ext = os.path.splitext(args.out)
         paths = [f"{stem}_c{i + 1}{ext}" for i in range(len(outputs))]
     for path, rows in zip(paths, outputs):
         _write_csv(path, THETA_CSV_HEADER, rows)
@@ -271,9 +261,8 @@ def cmd_sweep_sigma_rd(args) -> int:
     rows = [[sigma_rd, optimal_delta_r(args.m, p_r, sigma_rd, args.n0), p_r, args.m]
             for p_r in args.pr for sigma_rd in closed_grid(args.lo, args.hi, args.step)]
 
-    path = _resolve_out(args.out)
-    _write_csv(path, SIGMA_RD_CSV_HEADER, rows)
-    print(f"wrote {path} ({len(rows)} rows)")
+    _write_csv(args.out, SIGMA_RD_CSV_HEADER, rows)
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 

@@ -4,9 +4,10 @@ The relay's optimal training fraction maximizes the |w|^2 coefficient of the
 per-link SNR gain; its closed form is exact to a few ulps for every m < 2^53.
 The source fraction has none; two candidates (one per link) are evaluated.
 The source/relay power split theta is swept on a grid with common random
-numbers, free of sampling noise between grid points: a sweep call draws its
-three |w|^2 vectors once and every point rescales them into one scratch
-workspace (``rates.common_draws`` states the memory).
+numbers, free of sampling noise between grid points: a Monte Carlo sweep call
+draws its three |w|^2 vectors once into a ``rates.DrawSet`` bound to its spec
+(which states the memory), and every point rescales them into that set's
+scratch. A quadrature sweep has no set.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def suboptimal_delta_s(m: int, p_s: float, stats: ChannelStats) -> tuple[float, 
 
 def _rate_at(theta: float, total_power: float, stats: ChannelStats, m: int,
              delta_s: float, delta_r: float, scheme: Scheme,
-             spec: ExpectationSpec, draws: DrawSet) -> RateEstimate:
+             spec: ExpectationSpec, draws: DrawSet | None) -> RateEstimate:
     split = PowerSplit(total=total_power, theta=theta)
     cfg = SystemConfig(m=m, p_s=split.p_s, p_r=split.p_r,
                        delta_s=delta_s, delta_r=delta_r, scheme=scheme)

@@ -13,13 +13,15 @@ Monte Carlo draws invert counter-based Philox uniforms keyed by
 (seed, role) through numpy's vectorized ``log1p``, one uniform per draw, so
 sample i is the same in every context and identical seeds give identical
 draws for every scheme and every power split (common random numbers). A
-sweep generates its three draw vectors once per call (``common_draws``, which states their memory); every
-grid point rescales them by its own gains into the set's scratch, where the
-integrands compute in place, bit for bit what a standalone call computes. A
-standalone call scales its fresh draws in place and holds 4 arrays of
-samples floats (AF) or 2 (DF). Quadrature (weight: the exponential density)
-covers 1-D and 2-D expectations. The module also holds what the optimizer
-and the oracles share: ``RATE_FN``, ``closed_grid`` and the search result.
+sweep draws its three vectors once into a ``DrawSet`` bound to its spec
+(``common_draws``); every grid point rescales them by its own gains into the
+set's scratch, where the integrands compute in place, bit for bit what a
+standalone call computes. A standalone call, or one handed the set of
+another spec, scales fresh draws in place and holds 4 arrays of samples
+floats (AF) or 2 (DF). Quadrature (weight: the exponential density) is one
+tensor Gauss-Laguerre rule over 1-D or 2-D expectations. The module also
+holds what the optimizer and the oracles share: ``RATE_FN``, ``closed_grid``
+and the search result.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -47,7 +49,7 @@ COMBINING = "combining"
 # numpy's Gauss-Laguerre rule overflows (NaN weights) from 187 nodes on.
 MAX_NODES = 186
 # A standalone Monte Carlo call holds 4 (AF) or 2 (DF) float64 arrays of this length;
-# a sweep holds 3 shared draws plus 4 scratch arrays: 560 MB (see common_draws).
+# DrawSet states what a sweep holds.
 MAX_SAMPLES = 10**7
 MAX_GRID_POINTS = 1_000_000
 
@@ -187,48 +189,38 @@ def exp_draws(seed: int, tag: int, n: int) -> np.ndarray:
     return np.negative(u, out=u)
 
 
-class DrawSet(dict):
-    """Shared draws keyed by ``(seed, tag, samples)``, plus four scratch buffers."""
+class DrawSet:
+    """The three link streams of one Monte Carlo spec, drawn once for a whole sweep.
 
-    def __init__(self, samples: int = 0):
-        super().__init__()
-        self.samples = samples
-        self.scratch = [np.empty(samples) for _ in range(4)]
-
-
-def common_draws(spec: ExpectationSpec) -> DrawSet:
-    """The three link streams of ``spec``, drawn once for a whole sweep.
-
-    Keyed by ``(seed, tag, samples)``, the arguments of ``exp_draws``; the
-    arrays are read-only. A rate call handed this set rescales the stored
-    vector of each stream it needs into the set's scratch and draws only a
-    stream the set lacks, so the set saves work but never changes a value.
-    It holds 3 x samples x 8 bytes of draws plus 4 x samples x 8 bytes of
-    scratch, which is all a sweep holds: 5.6 MB at 10^5 samples, 560 MB at
-    MAX_SAMPLES. Empty unless ``spec`` is Monte Carlo.
+    ``w[tag]`` is ``exp_draws(spec.seed, tag, spec.samples)``, read-only. A rate
+    call with this very ``spec`` rescales the vectors it needs into the four
+    ``scratch`` buffers, so a sweep faults its temporaries in once; a call with
+    any other spec draws afresh. The set saves work but never changes a value.
+    It holds 3 + 4 arrays of samples floats, which is all a sweep holds: 5.6 MB
+    at 10^5 samples, 560 MB at MAX_SAMPLES.
     """
-    if spec.method is not Method.MONTE_CARLO:
-        return DrawSet()
-    draws = DrawSet(samples=spec.samples)
-    for tag in (W_SD, W_SR, W_RD):
-        key = (spec.seed, tag, spec.samples)
-        draws[key] = exp_draws(*key)
-        draws[key].flags.writeable = False
-    return draws
+
+    def __init__(self, spec: ExpectationSpec):
+        self.spec = spec
+        self.w = [exp_draws(spec.seed, tag, spec.samples) for tag in (W_SD, W_SR, W_RD)]
+        for vector in self.w:
+            vector.flags.writeable = False
+        self.scratch = [np.empty(spec.samples) for _ in range(4)]
 
 
-def _scratch(draws: Mapping | None, spec: ExpectationSpec) -> list[np.ndarray | None]:
-    """The four scratch buffers of a draw set sized for ``spec``, so a sweep faults
-    its temporaries in once; Nones (numpy allocates) otherwise."""
-    if isinstance(draws, DrawSet) and draws.samples == spec.samples:
-        return draws.scratch
-    return [None] * 4
+def common_draws(spec: ExpectationSpec) -> DrawSet | None:
+    """The ``DrawSet`` of ``spec`` for a sweep; None unless ``spec`` is Monte Carlo."""
+    return DrawSet(spec) if spec.method is Method.MONTE_CARLO else None
 
 
-@lru_cache(maxsize=8)
-def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=16)  # a 1-D and a 2-D rule for each of 8 node counts
+def _laguerre_rule(nodes: int, dims: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Node grids (read-only views of the nodes along each axis) and weights of
+    the ``dims``-fold tensor rule: ``[x]`` and ``w`` in 1-D, ``outer(w, w)`` in 2-D."""
     x, w = np.polynomial.laguerre.laggauss(nodes)
-    return x, w, np.outer(w, w)
+    axes = np.meshgrid(*[x] * dims, indexing="ij", sparse=True)
+    grids = [np.broadcast_to(a, (nodes,) * dims) for a in axes]
+    return grids, reduce(np.multiply.outer, [w] * dims)
 
 
 def _expectation(integrand: Callable[..., np.ndarray], coefficients: Sequence[float],
@@ -237,20 +229,18 @@ def _expectation(integrand: Callable[..., np.ndarray], coefficients: Sequence[fl
     """Mean and standard error of ``integrand(c_1 X_1, ..., c_k X_k)``.
 
     The X_i are independent exponential(1) variables: Monte Carlo takes
-    X_i from stream ``tags[i]`` and scales it by c_i: a stream that ``draws``
-    holds into a ``DrawSet``'s scratch or a new array, a fresh draw in place.
+    X_i from stream ``tags[i]`` and scales it by c_i, into the scratch of a
+    ``draws`` set bound to this very spec, else in place into a fresh draw.
     Gauss-Laguerre (k <= 2) evaluates the tensor rule. The integrand may
     overwrite its arrays, and the engine writes only into arrays it made.
     The mean must be finite and within the samples.
     """
     if spec.method is Method.MONTE_CARLO:
         n = spec.samples
-        scratch = _scratch(draws, spec)
-        draws = draws or {}
-        streams = [(spec.seed, tag, n) for tag in tags]
-        args = [np.multiply(c, draws[key], out=buf) if key in draws
-                else np.multiply(c, fresh := exp_draws(*key), out=fresh)
-                for c, key, buf in zip(coefficients, streams, scratch)]
+        shared = draws is not None and draws.spec == spec
+        args = [np.multiply(c, draws.w[tag], out=draws.scratch[i]) if shared
+                else np.multiply(c, fresh := exp_draws(spec.seed, tag, n), out=fresh)
+                for i, (c, tag) in enumerate(zip(coefficients, tags))]
         values = np.asarray(integrand(*args), dtype=float)
         if values.shape != (n,):
             raise ValueError("integrand must map (n,) arrays to an (n,) array")
@@ -263,17 +253,9 @@ def _expectation(integrand: Callable[..., np.ndarray], coefficients: Sequence[fl
             dev *= dev
             std_error = math.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n)
     else:
-        x, w, w2 = _laguerre_rule(spec.nodes)
-        if len(coefficients) == 1:
-            values = np.asarray(integrand(coefficients[0] * x), dtype=float)
-            mean = float(np.sum(w * values))
-        else:
-            shape = w2.shape
-            c_i, c_j = coefficients
-            values = np.asarray(integrand(c_i * np.broadcast_to(x[:, None], shape),
-                                          c_j * np.broadcast_to(x[None, :], shape)), dtype=float)
-            mean = float(np.sum(w2 * values))
-        std_error = 0.0
+        grids, weights = _laguerre_rule(spec.nodes, len(coefficients))
+        values = np.asarray(integrand(*(c * g for c, g in zip(coefficients, grids))), dtype=float)
+        mean, std_error = float(np.sum(weights * values)), 0.0
         lo, hi = float(np.min(values)), float(np.max(values))
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
     if not (math.isfinite(mean) and lo - slack <= mean <= hi + slack):
@@ -398,7 +380,7 @@ def af_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
     the draw and reuse its scratch; the value is the same without it.
     """
     _require(cfg, spec, Scheme.AF)
-    spare = _scratch(draws, spec)[3]
+    spare = draws.scratch[3] if draws is not None and draws.spec == spec else None
     return _rate(lambda g_sd, g_sr, g_rd: np.log1p(
                      np.add(g_sd, _combine(g_sr, g_rd, g_sr, spare), out=g_sd), out=g_sd),
                  _gains(cfg, stats), (W_SD, W_SR, W_RD), cfg.m, spec, draws)

@@ -90,6 +90,10 @@ class TestDataSymbolEnergy:
         total = delta * m * p + (m - 2) / 2 * per_symbol
         assert total == pytest.approx(m * p, rel=1e-12, abs=1e-12)
 
+    def test_overflow_names_its_inputs(self):
+        with pytest.raises(ValueError, match=r"overflows at delta=0\.0, m=6, p=1e\+308"):
+            data_symbol_energy(0.0, 6, 1e308)
+
     @pytest.mark.parametrize("m", [3, 5, 7, 2, 0, 4])
     def test_rejects_odd_or_tiny_blocks(self, m):
         with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ import math
 import re
 import shlex
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import relayrates.cli
@@ -22,6 +22,7 @@ from relayrates import (
 )
 from relayrates.cli import THETA_CSV_HEADER, _expand, _write_csv, build_parser, main
 from relayrates.rates import RATE_FN
+from test_preset_bytes import recorded_build
 
 RATE_ARGS = ["rate", "--scheme", "af", "--m", "50", "--ps", "60", "--pr", "40",
              "--delta-s", "0.1", "--delta-r", "0.1", "--sigma", "1,4,4",
@@ -186,6 +187,7 @@ class TestSweepTheta:
                   "--delta-r", "0.1", "--samples", "100", "--out", str(target)]
         cases = [
             (["--m", "49", "--sigma", "1,4,4"], None),
+            (["--m", "50"], "error: missing required value --sigma"),
             # --curve picks a preset curve: with --sigma, or without a preset,
             # there is none to pick
             (["--m", "50", "--sigma", "1,4,4", "--curve", "2"], "--curve"),
@@ -472,25 +474,6 @@ def test_readme_commands_parse():
         assert callable(args.func)
 
 
-class TestOutputDirEnv:
-    def test_relative_paths_land_in_outdir(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("RELAYRATES_OUTDIR", str(tmp_path / "results"))
-        monkeypatch.chdir(tmp_path)
-        code, _, _ = run(capsys, "sweep-sigma-rd", "--m", "50", "--pr", "10",
-                         "--lo", "1.0", "--hi", "2.0", "--step", "0.5",
-                         "--out", "inner.csv")
-        assert code == 0
-        assert (tmp_path / "results" / "inner.csv").exists()
-
-    def test_absolute_paths_ignore_outdir(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("RELAYRATES_OUTDIR", str(tmp_path / "results"))
-        target = tmp_path / "direct.csv"
-        code, _, _ = run(capsys, "sweep-sigma-rd", "--m", "50", "--pr", "10",
-                         "--lo", "1.0", "--hi", "2.0", "--step", "0.5",
-                         "--out", str(target))
-        assert code == 0 and target.exists()
-
-
 class TestVerifyCommand:
     def test_quick_run_passes_within_budget(self, capsys):
         import time
@@ -502,14 +485,28 @@ class TestVerifyCommand:
         assert out.count("pass") >= 4
         assert elapsed < 10.0
 
-    def test_perturbation_is_detected(self, capsys, monkeypatch):
-        # a 1% bias in the oracle's scalar combiner must break the identity check
-        exact = relayrates.oracle.f_combiner
-        monkeypatch.setattr(relayrates.oracle, "f_combiner", lambda x, y: 1.01 * exact(x, y))
+    # per check, a binding biased to fail it and no other: a 2x error variance,
+    # a 1.5x log-det rate, a relay fraction off by 0.01 and a 1% bias in the
+    # oracle's scalar combiner
+    BIASES = {
+        "training-sim-vs-closed-form": (relayrates.cli, "simulate_training_quality",
+                                        lambda q: replace(q, var_error=2.0 * q.var_error)),
+        "logdet-vs-scalar-af": (relayrates.cli, "af_rate_logdet",
+                                lambda r: replace(r, value=1.5 * r.value)),
+        "per-draw-identity": (relayrates.oracle, "f_combiner", lambda f: 1.01 * f),
+        "delta-r-closed-vs-grid": (relayrates.cli, "optimal_delta_r", lambda d: d + 0.01),
+    }
+
+    @pytest.mark.parametrize("check", list(BIASES))
+    def test_perturbation_is_detected(self, capsys, monkeypatch, check):
+        module, name, bias = self.BIASES[check]
+        exact = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: bias(exact(*args)))
         code, out, _ = run(capsys, "verify", "--samples", "10000", "--seed", "1")
         assert code == 1
-        assert any(line.startswith("FAIL") and "per-draw-identity" in line
-                   for line in out.splitlines())
+        status = {line.split()[1]: line.split()[0] for line in out.splitlines()[1:-1]}
+        assert status == {c: "FAIL" if c == check else "pass" for c in self.BIASES}
+        assert out.splitlines()[-1].startswith("verify FAILED in ")
 
     # SHA-256 of ``verify --samples 10000 --seed N`` stdout without its final
     # timing line, recorded while grid_argmax still called its objective once
@@ -521,9 +518,7 @@ class TestVerifyCommand:
         2: "0763ef297ed439e49509da9beaff6f73b1984949306efc9dee09fb9b89d6a35d",
     }
 
-    @pytest.mark.skipif(np.__version__ != "2.4.6",
-                        reason=f"digests were recorded with numpy 2.4.6, "
-                               f"this is numpy {np.__version__}")
+    @recorded_build
     @pytest.mark.parametrize("seed", sorted(VERIFY_SHA256))
     def test_report_bytes_are_pinned(self, capsys, seed):
         code, out, _ = run(capsys, "verify", "--samples", "10000", "--seed", str(seed))

@@ -361,7 +361,7 @@ class TestCommonDraws:
     def test_quadrature_sweep_draws_nothing(self, draw_calls):
         theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.DF_PARALLEL, GL, grid_step=0.1)
         assert draw_calls == []
-        assert common_draws(GL) == {}
+        assert common_draws(GL) is None
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("theta_step", [0.1, 0.05])
@@ -374,8 +374,10 @@ class TestCommonDraws:
 
     def test_shared_draws_are_read_only(self):
         draws = common_draws(MC)
-        assert sorted(draws) == STREAMS
-        for vector in draws.values():
+        assert draws.spec == MC
+        assert [vector.tobytes() for vector in draws.w] == [exp_draws(*args).tobytes()
+                                                            for args in STREAMS]
+        for vector in draws.w:
             with pytest.raises(ValueError):
                 vector[0] = 1.0
             with pytest.raises(ValueError):

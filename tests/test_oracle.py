@@ -32,6 +32,7 @@ from relayrates import (
 from relayrates import oracle
 from relayrates.cli import AF_ORACLE_CONFIGS
 from relayrates.rates import stream
+from test_preset_bytes import recorded_build
 
 
 def _cfg(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1):
@@ -127,6 +128,15 @@ class TestLogdetOracle:
         matrix = af_rate_logdet(cfg, stats, spec)
         tolerance = 3.0 * math.hypot(scalar.std_error, matrix.std_error)
         assert abs(scalar.value - matrix.value) <= tolerance
+
+    @pytest.mark.parametrize("cfg, spec, match", [
+        (dataclasses.replace(_cfg(), scheme=Scheme.DF_PARALLEL),
+         ExpectationSpec(dims=3, samples=100), "expected Scheme.AF"),
+        (_cfg(), ExpectationSpec(dims=2, method=Method.GAUSS_LAGUERRE), "Monte Carlo only"),
+    ])
+    def test_requires_an_af_config_and_monte_carlo(self, cfg, spec, match):
+        with pytest.raises(ValueError, match=match):
+            af_rate_logdet(cfg, ChannelStats(1.0, 4.0, 4.0, 1.0), spec)
 
     def test_per_draw_identity(self):
         stats = ChannelStats(1.0, 4.0, 4.0, 1.0)
@@ -395,8 +405,7 @@ ORACLE_SHA256 = (
 )
 
 
-@pytest.mark.skipif(np.__version__ != "2.4.6",
-                    reason=f"digests were recorded with numpy 2.4.6, this is numpy {np.__version__}")
+@recorded_build
 @pytest.mark.parametrize("index", range(len(AF_ORACLE_CONFIGS)))
 def test_oracle_outputs_are_pinned(index):
     m, p_s, p_r, d_s, d_r, sigma, n0 = AF_ORACLE_CONFIGS[index]

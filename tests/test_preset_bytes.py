@@ -12,7 +12,9 @@ and the draws (``exp_draws``) and the integrands both call it. They were
 recorded with X86_V4, AVX512_ICL and AVX512_SPR found. With those masked off
 (``NPY_DISABLE_CPU_FEATURES``), ``np.log1p`` returns libm's bits, which
 differ in the last bit on a few percent of inputs, so a CPU without
-AVX-512 can fail this test on a correct build.
+AVX-512 would fail this test on a correct build. ``recorded_build`` runs
+this test and the other digest tests only under the recorded numpy version
+and with the recorded features found in numpy's CPU-feature table.
 """
 
 import hashlib
@@ -23,6 +25,18 @@ import pytest
 from relayrates.cli import main
 
 RECORDED_NUMPY = "2.4.6"
+# the SIMD targets numpy dispatched log1p to when the digests were recorded
+RECORDED_CPU_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+except ImportError:  # another numpy layout, whose version fails the gate anyway
+    CPU_FEATURES = {}
+FOUND_CPU_FEATURES = [name for name in RECORDED_CPU_FEATURES if CPU_FEATURES.get(name)]
+# every test that compares a recorded digest runs only where it was recorded
+recorded_build = pytest.mark.skipif(
+    (np.__version__, FOUND_CPU_FEATURES) != (RECORDED_NUMPY, list(RECORDED_CPU_FEATURES)),
+    reason=f"digests were recorded with numpy {RECORDED_NUMPY} and {RECORDED_CPU_FEATURES} "
+           f"found; this is numpy {np.__version__} with {FOUND_CPU_FEATURES} found")
 
 PRESET_SHA256 = {
     # re-recorded when optimal_delta_r took its subtraction-free root: 70 of 138
@@ -63,12 +77,9 @@ COMMANDS = [["sweep-sigma-rd", "--preset", "fig1", "--out", "fig1.csv"]] + [
 ]
 
 
-@pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
-                    reason=f"digests were recorded with numpy {RECORDED_NUMPY}, "
-                           f"this is numpy {np.__version__}")
+@recorded_build
 def test_preset_csvs_are_byte_identical(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("RELAYRATES_OUTDIR", raising=False)
     for argv in COMMANDS:
         assert main(argv) == 0, argv
     capsys.readouterr()

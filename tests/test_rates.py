@@ -17,6 +17,7 @@ from relayrates import (
     ChannelStats,
     ExpectationSpec,
     Method,
+    RateEstimate,
     Scheme,
     SystemConfig,
     W_RD,
@@ -32,7 +33,7 @@ from relayrates import (
     mmse_quality,
     snr_gain_g,
 )
-from relayrates.rates import MAX_NODES, MAX_SAMPLES, RATE_FN, stream
+from relayrates.rates import MAX_NODES, MAX_SAMPLES, RATE_FN, common_draws, stream
 from test_preset_bytes import RECORDED_NUMPY
 
 # E[ln(1 + x)] for x ~ Exp(1), frozen from e * E1(1) (scipy.special.exp1);
@@ -152,6 +153,14 @@ class TestExpectationEngine:
         with pytest.raises(ValueError):
             ExpectationSpec(dims=3, method=Method.GAUSS_LAGUERRE)
 
+    @pytest.mark.parametrize("integrand, error, match", [
+        (lambda x: x[:-1], ValueError, "integrand must map"),
+        (lambda x: np.full_like(x, np.nan), ArithmeticError, "sampled range"),
+    ])
+    def test_rejects_a_bad_integrand(self, integrand, error, match):
+        with pytest.raises(error, match=match):
+            expect_over_exponentials(integrand, ExpectationSpec(dims=1, samples=100))
+
     def test_stream_tags_give_common_random_numbers(self):
         assert np.array_equal(exp_draws(9, W_SD, 100), exp_draws(9, W_SD, 100))
         assert not np.array_equal(exp_draws(9, W_SD, 100), exp_draws(9, W_SR, 100))
@@ -171,6 +180,8 @@ class TestExpectationEngine:
             ExpectationSpec(dims=1, nodes=4)
         with pytest.raises(ValueError):
             ExpectationSpec(dims=1, seed=-1)
+        with pytest.raises(ValueError, match="CLOSED_FORM"):
+            ExpectationSpec(dims=3, method=Method.CLOSED_FORM)
         # the largest accepted rule is clean; one node more and numpy's rule
         # overflows into NaN weights
         with pytest.raises(ValueError, match="nodes"):
@@ -276,14 +287,12 @@ class TestEngineOwnership:
         assert got == (float(frozen.mean()), float(frozen.std(ddof=1)) / math.sqrt(1_000))
 
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_a_plain_dict_of_draws_is_never_written(self, scheme):
+    def test_a_draw_set_is_never_written(self, scheme):
         spec = ExpectationSpec(dims=3, samples=2_000, seed=19)
-        draws = {(19, tag, 2_000): exp_draws(19, tag, 2_000) for tag in (W_SD, W_SR, W_RD)}
-        before = {key: vector.tobytes() for key, vector in draws.items()}
-        for vector in draws.values():
-            vector.flags.writeable = False
+        draws = common_draws(spec)
+        before = [vector.tobytes() for vector in draws.w]
         rate = RATE_FN[scheme](_cfg(scheme=scheme), _stats(), spec, draws=draws)
-        assert {key: vector.tobytes() for key, vector in draws.items()} == before
+        assert [vector.tobytes() for vector in draws.w] == before
         alone = RATE_FN[scheme](_cfg(scheme=scheme), _stats(), spec)
         assert (rate.value, rate.std_error, rate.parts) == (alone.value, alone.std_error,
                                                             alone.parts)
@@ -427,6 +436,9 @@ class TestRateEstimate:
         assert gl.std_error == 0.0
         assert gl.samples == 0
         assert gl.method is Method.GAUSS_LAGUERRE
+
+    def test_binding_is_none_without_parts(self):
+        assert RateEstimate(1.0, 0.1, 10, Method.MONTE_CARLO).binding is None
 
     def test_rates_are_nonnegative_and_bounded(self):
         spec = ExpectationSpec(dims=3, samples=1_000, seed=13)
