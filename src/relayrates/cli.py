@@ -7,12 +7,11 @@ Subcommands
     optimal-training closed-form training fractions for one configuration
     verify           cross-check closed forms against the independent oracles
 
-Values come from three places, in rising precedence: a bundled preset
-(``--preset``), a plain-text config file (``--config``, one ``key=value`` per
-line, ``#`` comments, keys named like the long options) and explicit flags.
-The first two are spelled out as flags ahead of the explicit ones, and
-argparse parses, type-checks and requires every value once. All CSV output
-is deterministic: same flags, same bytes.
+A bundled preset (``--preset``) is spelled out as flags ahead of the command
+line. After the command, ``@FILE`` reads flags from FILE where it stands,
+each line split like a shell line with ``#`` comments. The last value of a
+repeated flag wins, and argparse parses, type-checks and requires every
+value once. All CSV output is deterministic: same flags, same bytes.
 """
 
 from __future__ import annotations
@@ -113,15 +112,17 @@ PRESETS = {
 }
 
 
-def _parse_sigma(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"--sigma expects three comma-separated values, got {text!r}")
-    return tuple(float(p) for p in parts)
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(","))
+    try:
+        return tuple(float(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+
+
+def _parse_sigma(text: str) -> tuple[float, float, float]:
+    if text.count(",") != 2:
+        raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
+    return _parse_float_list(text)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -131,47 +132,34 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         csv.writer(handle, lineterminator="\n").writerows([header, *rows])
 
 
-def _load_config_file(path: str) -> list[str]:
-    """Turn key=value lines into an argv prefix (explicit flags override)."""
-    extra: list[str] = []
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("_", "-")
-            value = value.strip()
-            if value.lower() in ("true", "false"):
-                if value.lower() == "true":
-                    extra.append(f"--{key}")
-            else:
-                extra.extend([f"--{key}", value])
-    return extra
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: no prefix matching, and ``@FILE`` reads flags from FILE."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, fromfile_prefix_chars="@", **kwargs)
+
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        import shlex  # only an argument file needs it
+        try:
+            return shlex.split(arg_line, comments=True)
+        except ValueError as exc:
+            raise ValueError(f"argument file line {arg_line!r}: {exc}") from None
 
 
 def _expand(argv: list[str]) -> list[str]:
-    """Spell ``--preset`` and ``--config`` out as flags ahead of the explicit ones.
+    """Read each ``@FILE`` once and put the ``--preset`` flags ahead of all others.
 
-    The result holds the preset's values, then the file's, then argv, so
-    argparse (which keeps the last value of a repeated flag) lets the file
-    override the preset and an explicit flag override both. A config file
-    may name the preset; a preset of another command is left for argparse
-    to reject.
+    A pipe can be read only once. A file may name the preset; the last value wins.
     """
     if not argv:
         return argv
-    pre = argparse.ArgumentParser(prog=f"relayrates {argv[0]}", usage=argparse.SUPPRESS,
-                                  add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
+    pre = _CommandParser(prog=f"relayrates {argv[0]}", usage=argparse.SUPPRESS, add_help=False)
     pre.add_argument("--preset")
-    config = pre.parse_known_args(argv[1:])[0].config
-    file_args = _load_config_file(config) if config else []
-    preset = PRESETS.get(pre.parse_known_args(file_args + argv[1:])[0].preset)
+    known, rest = pre.parse_known_args(argv[1:])
+    preset = PRESETS.get(known.preset)
     preset_args = preset.flags() if preset is not None and preset.command == argv[0] else []
-    return argv[:1] + preset_args + file_args + argv[1:]
+    named = [] if known.preset is None else [f"--preset={known.preset}"]  # argparse checks it
+    return argv[:1] + preset_args + rest + named
 
 
 def _expectation_spec(args) -> ExpectationSpec:
@@ -366,13 +354,13 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relayrates",
-        description="Achievable rates and resource allocation for pilot-trained relay links",
+        description="Achievable rates and resource allocation for pilot-trained relay links. "
+                    "After the command, @FILE reads flags in its place; a flag's last value wins.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     schemes = [scheme.value for scheme in Scheme]
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key=value defaults file; explicit flags win")
         p.add_argument("--samples", type=int, default=100_000)
         p.add_argument("--seed", type=int, default=0)
 
@@ -380,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=["mc", "gl"], default="mc")
         p.add_argument("--nodes", type=int, default=64)
 
-    p_rate = sub.add_parser("rate", help="evaluate one configuration", allow_abbrev=False)
+    p_rate = sub.add_parser("rate", help="evaluate one configuration")
     p_rate.add_argument("--scheme", choices=schemes, required=True)
     p_rate.add_argument("--m", type=int, required=True)
     p_rate.add_argument("--sigma", type=_parse_sigma, required=True,
@@ -397,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--bits", action="store_true", help="report bits instead of nats")
     p_rate.set_defaults(func=cmd_rate)
 
-    p_sweep = sub.add_parser("sweep-theta", help="rate vs. power split, CSV output",
-                             allow_abbrev=False)
+    p_sweep = sub.add_parser("sweep-theta", help="rate vs. power split, CSV output")
     p_sweep.add_argument("--preset", choices=[k for k, v in PRESETS.items()
                                               if v.command == "sweep-theta"])
     p_sweep.add_argument("--curve", type=int, help="pick one preset curve (1-based)")
@@ -416,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep_theta)
 
     p_srd = sub.add_parser("sweep-sigma-rd",
-                           help="optimal relay training fraction vs. sigma_rd, CSV output",
-                           allow_abbrev=False)
+                           help="optimal relay training fraction vs. sigma_rd, CSV output")
     p_srd.add_argument("--preset", choices=[k for k, v in PRESETS.items()
                                             if v.command == "sweep-sigma-rd"])
     p_srd.add_argument("--m", type=int, required=True)
@@ -428,11 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srd.add_argument("--step", type=float, required=True)
     p_srd.add_argument("--n0", type=float, default=1.0)
     p_srd.add_argument("--out", required=True)
-    p_srd.add_argument("--config", help="key=value defaults file; explicit flags win")
     p_srd.set_defaults(func=cmd_sweep_sigma_rd)
 
-    p_opt = sub.add_parser("optimal-training", help="closed-form training fractions",
-                           allow_abbrev=False)
+    p_opt = sub.add_parser("optimal-training", help="closed-form training fractions")
     p_opt.add_argument("--m", type=int, required=True)
     p_opt.add_argument("--pr", type=float, required=True)
     p_opt.add_argument("--sigma-rd", type=float, required=True)
@@ -448,8 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_opt)
     p_opt.set_defaults(func=cmd_optimal_training)
 
-    p_verify = sub.add_parser("verify", help="run the oracle cross-check suite",
-                              allow_abbrev=False)
+    p_verify = sub.add_parser("verify", help="run the oracle cross-check suite")
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -461,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(_expand(argv))
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import inspect
 import math
+import os
 import re
 import shlex
 import sys
@@ -94,11 +95,22 @@ class TestRateCommand:
         assert code == 1
         assert err.startswith("error:")
 
-    def test_malformed_sigma_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["rate", "--scheme", "af", "--m", "50", "--ps", "60", "--pr", "40",
-                  "--delta-s", "0.1", "--delta-r", "0.1", "--sigma", "1,4"])
-        assert excinfo.value.code == 2
+    def test_malformed_sigma_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        cases = [
+            (["rate", *RATE_ARGS[1:13], "--sigma", "1,4"],
+             "argument --sigma: expected three comma-separated numbers, got '1,4'"),
+            (["rate", *RATE_ARGS[1:13], "--sigma", "1,4,x"],
+             "argument --sigma: expected comma-separated numbers, got '1,4,x'"),
+            (["sweep-sigma-rd", "--preset", "fig1", "--pr", "1,x", "--out", str(out)],
+             "argument --pr: expected comma-separated numbers, got '1,x'"),
+        ]
+        for argv, message in cases:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+        assert not out.exists()
 
     def test_semantic_validation_is_single_line_error(self, capsys):
         common = ["rate", "--scheme", "af", "--m", "50", "--delta-s", "0.1", "--delta-r", "0.1"]
@@ -132,8 +144,9 @@ class TestSweepTheta:
         assert thetas == ["0.0", "0.5", "1.0"]
 
     # --bits rescales the printed line of ``rate``, and a sweep's CSV is in nats;
-    # a sweep runs one serial path, so there is no --workers to set
-    @pytest.mark.parametrize("flag", [["--bits"], ["--workers", "2"]])
+    # a sweep runs one serial path, so there is no --workers to set; flags are
+    # read from a file with @FILE, not --config
+    @pytest.mark.parametrize("flag", [["--bits"], ["--workers", "2"], ["--config", "x"]])
     def test_removed_flag_is_usage_error(self, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep-theta", "--preset", "fig2", "--curve", "1", *flag,
@@ -360,66 +373,116 @@ class TestAbbreviations:
         assert "unrecognized arguments: --pres fig2" in captured.err
         assert not out.exists()
 
-    def test_abbreviated_config_is_rejected(self, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text("seed=9\n")
-        captured = self.usage_error(capsys, *RATE_ARGS, "--conf", str(config))
-        assert f"unrecognized arguments: --conf {config}" in captured.err
-        assert captured.out == ""
 
+class TestArgumentFile:
+    """``@FILE`` after the command reads flags from FILE in its place."""
 
-class TestConfigFile:
-    def test_file_supplies_defaults_and_flags_override(self, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text(
-            "# base configuration\n"
-            "scheme=af\n"
-            "m=50\n"
-            "ps=60\n"
-            "pr=40\n"
-            "delta-s=0.1\n"
-            "delta_r=0.1\n"
-            "sigma=1,4,4\n"
-            "samples=1000\n"
-            "seed=7\n"
-        )
-        code, out_file, _ = run(capsys, "rate", "--config", str(config))
+    def write(self, tmp_path, text: str) -> str:
+        path = tmp_path / "flags.args"
+        path.write_text(text)
+        return f"@{path}"
+
+    def test_file_supplies_every_flag(self, tmp_path, capsys):
+        pairs = [" ".join(RATE_ARGS[i:i + 2]) for i in range(1, len(RATE_ARGS), 2)]
+        code, from_file, _ = run(capsys, "rate", self.write(tmp_path, "\n".join(pairs)))
         assert code == 0
-        code, out_override, _ = run(capsys, "rate", "--config", str(config),
-                                    "--seed", "8")
+        assert from_file == run(capsys, *RATE_ARGS)[1]
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_a_pipe_is_read_once(self, capsys):
+        # what the shell hands over for @<(...)
+        read_end, write_end = os.pipe()
+        os.write(write_end, " ".join(RATE_ARGS[1:]).encode())
+        os.close(write_end)
+        try:
+            code, from_pipe, _ = run(capsys, "rate", f"@/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
         assert code == 0
-        assert "seed=7" in out_file
-        assert "seed=8" in out_override
-        assert out_file != out_override
-        code, out_equals_form, _ = run(capsys, "rate", f"--config={config}")
-        assert code == 0 and out_equals_form == out_file
+        assert from_pipe == run(capsys, *RATE_ARGS)[1]
 
-    def test_bad_line_is_reported(self, tmp_path, capsys):
-        config = tmp_path / "broken.cfg"
-        config.write_text("scheme af\n")
-        code, _, err = run(capsys, "rate", "--config", str(config))
-        assert code == 1 and "expected key=value" in err
+    def test_last_value_wins(self, tmp_path, capsys):
+        flags = self.write(tmp_path, " ".join(RATE_ARGS[1:]))  # --seed 7
+        _, after, _ = run(capsys, "rate", flags, "--seed", "8")
+        _, before, _ = run(capsys, "rate", "--seed", "8", flags)
+        assert after == run(capsys, *RATE_ARGS[:-1], "8")[1] and "seed=8" in after
+        assert before == run(capsys, *RATE_ARGS)[1]
 
-    def test_boolean_values(self, tmp_path, capsys):
-        config = tmp_path / "bits.cfg"
-        config.write_text("bits=true\n")
-        code, out, _ = run(capsys, *RATE_ARGS[:1], "--config", str(config),
-                           *RATE_ARGS[1:], "--samples", "1000")
+    def test_comments_blank_lines_and_quoting(self, tmp_path, capsys):
+        out = tmp_path / "first curve.csv"
+        flags = self.write(tmp_path, "# figure 2, coarse grid\n"
+                                     "\n"
+                                     "--preset fig2 --curve 1   # sigma = 1,10,2\n"
+                                     "--theta-step 0.5 --samples 200\n"
+                                     f"--out {shlex.quote(str(out))}\n")
+        code, stdout, _ = run(capsys, "sweep-theta", flags)
+        assert code == 0 and f"wrote {out} (3 rows)" in stdout
+        typed = tmp_path / "typed.csv"
+        run(capsys, "sweep-theta", "--preset", "fig2", "--curve", "1", "--theta-step", "0.5",
+            "--samples", "200", "--out", str(typed))
+        assert out.read_bytes() == typed.read_bytes()
+
+    def test_unknown_token_and_unclosed_quote(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*RATE_ARGS, self.write(tmp_path, "scheme=af\n")])  # the old key=value form
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: scheme=af" in capsys.readouterr().err
+        code, out, err = run(capsys, *RATE_ARGS, self.write(tmp_path, "--seed '8\n"))
+        assert (code, out) == (1, "")
+        assert err == "error: argument file line \"--seed '8\": No closing quotation\n"
+
+    def test_file_that_reads_itself_is_one_error_line(self, tmp_path, capsys):
+        flags = tmp_path / "loop.args"
+        flags.write_text(f"--seed 8 @{flags}\n")
+        # argparse opens the file again at each level, so the interpreter's
+        # recursion limit (exit 1) or, below about 1000 descriptors, the limit
+        # on open files (a usage error) ends it
+        try:
+            code = main([*RATE_ARGS, f"@{flags}"])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert (code, captured.err.split(":")[0]) in {
+            (1, "error"), (2, "relayrates rate")}, captured.err
+
+    def test_bits_line(self, tmp_path, capsys):
+        code, out, _ = run(capsys, *RATE_ARGS, "--samples", "1000",
+                           self.write(tmp_path, "--bits\n"))
         assert code == 0 and "rate_bits=" in out
 
-    def test_precedence_preset_then_file_then_flag(self, tmp_path, capsys):
-        config = tmp_path / "fig5.cfg"
-        config.write_text("preset=fig5\np=3\n")
-        common = ["sweep-theta", "--config", str(config), "--curve", "1",
-                  "--theta-step", "0.5", "--samples", "200"]
-        for extra, expected_p in (([], "3.0"), (["--p", "7"], "7.0")):
-            out = tmp_path / f"p{expected_p}.csv"
-            code, stdout, _ = run(capsys, *common, *extra, "--out", str(out))
+    def test_precedence_preset_then_file_then_later_flag(self, tmp_path, capsys):
+        flags = self.write(tmp_path, "--preset fig5\n--p 3\n")
+        common = ["--curve", "1", "--theta-step", "0.5", "--samples", "200"]
+        # the file overrides the preset's P = 1, a later flag overrides the
+        # file and an earlier one is overridden by it; every other value is
+        # the preset's
+        for before, after, expected_p in (([], [], "3.0"), ([], ["--p", "7"], "7.0"),
+                                          (["--p", "7"], [], "3.0")):
+            out = tmp_path / f"p{expected_p}{len(before)}.csv"
+            code, stdout, _ = run(capsys, "sweep-theta", *before, flags, *common, *after,
+                                  "--out", str(out))
             assert code == 0 and "note: preset fig5" in stdout
             rows = {tuple(line.split(",")[3:11]) for line in out.read_text().splitlines()[1:]}
-            # the file overrides the preset's P = 1 and the flag overrides the
-            # file; every other value is the preset's
             assert rows == {("af", "1.0", "10.0", "2.0", expected_p, "50", "0.1", "0.1")}
+
+    def test_missing_file_and_file_before_command_are_usage_errors(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        whole = self.write(tmp_path, f"sweep-theta --preset fig2 --curve 1 --out {out}\n")
+        for argv, message in (
+            (["sweep-theta", f"@{tmp_path / 'missing.args'}", "--preset", "fig2",
+              "--out", str(out)], "No such file or directory"),
+            ([whole], f"invalid choice: '{whole}'"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_command_takes_config(self):
+        for command, parser in _commands().items():
+            assert "--config" not in parser._option_string_actions, command
 
 
 def test_csv_cells_are_repr_per_float_and_str_otherwise(tmp_path):
@@ -441,15 +504,17 @@ def _handler_source(handler) -> str:
     return source
 
 
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    return next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def test_every_option_is_read():
-    # an option no handler reads is accepted and silently ignored; --config
-    # is consumed by _expand before argparse parses
-    subparsers = next(action for action in build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    for command, parser in subparsers.choices.items():
+    # an option no handler reads is accepted and silently ignored
+    for command, parser in _commands().items():
         source = _handler_source(parser.get_default("func"))
         dests = {action.dest for action in parser._actions if action.option_strings}
-        unread = sorted(dest for dest in dests - {"help", "config"}
+        unread = sorted(dest for dest in dests - {"help"}
                         if not re.search(rf"\bargs\.{dest}\b", source))
         assert not unread, f"{command} never reads {unread}"
 
@@ -465,10 +530,15 @@ def _readme_commands() -> list[str]:
     return commands
 
 
-def test_readme_commands_parse():
-    # parsed only, not run: every flag the README shows must still exist
+def test_readme_commands_parse(tmp_path, monkeypatch):
+    # parsed only, not run: every flag the README shows must still exist, and
+    # the argument file it shows is written where its command reads it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    name, content = re.search(r"`(\w+\.args)`:\n\n```text\n(.*?)```", text, flags=re.S).groups()
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(content)
     commands = _readme_commands()
-    assert len(commands) >= 8
+    assert len(commands) >= 9 and any(f"@{name}" in command for command in commands)
     for command in commands:
         args = build_parser().parse_args(_expand(shlex.split(command, comments=True)[1:]))
         assert callable(args.func)

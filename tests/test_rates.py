@@ -34,6 +34,7 @@ from relayrates import (
     snr_gain_g,
 )
 from relayrates.rates import MAX_NODES, MAX_SAMPLES, RATE_FN, common_draws, stream
+from test_contract import BLOCKS, FRACTIONS, log_uniform
 from test_preset_bytes import RECORDED_NUMPY
 
 # E[ln(1 + x)] for x ~ Exp(1), frozen from e * E1(1) (scipy.special.exp1);
@@ -48,6 +49,18 @@ def _cfg(scheme=Scheme.AF, m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1):
 
 def _stats(sd=1.0, sr=4.0, rd=4.0, n0=1.0):
     return ChannelStats(sigma_sd=sd, sigma_sr=sr, sigma_rd=rd, n0=n0)
+
+
+# log-uniform valid inputs of one rate call, keyed like _cfg's and _stats's keywords
+VALID_RATE_INPUTS = st.fixed_dictionaries({
+    "m": BLOCKS, "p_s": log_uniform(-3.0, 4.0), "p_r": log_uniform(-3.0, 4.0),
+    "delta_s": FRACTIONS, "delta_r": FRACTIONS, "sd": log_uniform(-2.0, 2.0),
+    "sr": log_uniform(-2.0, 2.0), "rd": log_uniform(-2.0, 2.0), "n0": log_uniform(-2.0, 2.0),
+})
+
+
+def _rate(scheme, spec, sd, sr, rd, n0, **cfg):
+    return RATE_FN[scheme](_cfg(scheme=scheme, **cfg), _stats(sd, sr, rd, n0), spec)
 
 
 class TestFCombiner:
@@ -343,7 +356,23 @@ class TestAfRate:
             af_rate(_cfg(), _stats(),
                     ExpectationSpec(dims=2, method=Method.GAUSS_LAGUERRE))
 
-    def test_monotone_in_fading_and_power_with_common_draws(self):
+    # every scheme, not only AF: common random numbers make the rate
+    # nondecreasing draw by draw, so no standard-error allowance is needed,
+    # only one for rounding (steps as small as one ulp are drawn)
+    @settings(max_examples=100, deadline=None)
+    @given(scheme=st.sampled_from(list(Scheme)), inputs=VALID_RATE_INPUTS,
+           name=st.sampled_from(["p_s", "p_r", "sd", "sr", "rd"]),
+           step=st.one_of(st.none(), log_uniform(-12.0, 1.0)), seed=st.integers(0, 2**32 - 1))
+    def test_monotone_in_fading_and_power_with_common_draws(self, scheme, inputs, name, step,
+                                                            seed):
+        spec = ExpectationSpec(dims=3, samples=1_000, seed=seed)
+        value = inputs[name]
+        larger = math.nextafter(value, math.inf) if step is None else value * (1.0 + step)
+        lower = _rate(scheme, spec, **inputs).value
+        higher = _rate(scheme, spec, **{**inputs, name: larger}).value
+        assert higher >= lower * (1.0 - 1e-14)
+
+    def test_strictly_increasing_at_a_reference_point(self):
         spec = ExpectationSpec(dims=3, samples=5_000, seed=17)
         base = af_rate(_cfg(), _stats(), spec).value
         assert af_rate(_cfg(), _stats(sd=1.2), spec).value > base
@@ -406,12 +435,18 @@ class TestDfRates:
             parallel = np.log1p(g_sd) + np.log1p(g_rd)
             assert np.all(parallel >= repetition)
 
-    def test_parallel_dominates_repetition_end_to_end(self):
-        spec = ExpectationSpec(dims=3, samples=5_000, seed=77)
-        stats = _stats(sd=1.0, sr=2.0, rd=1.0)
-        rep = df_repetition_rate(_cfg(scheme=Scheme.DF_REPETITION), stats, spec)
-        par = df_parallel_rate(_cfg(scheme=Scheme.DF_PARALLEL), stats, spec)
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=VALID_RATE_INPUTS, seed=st.integers(0, 2**32 - 1))
+    @example(inputs=dict(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1, sd=1.0, sr=2.0,
+                         rd=1.0, n0=1.0), seed=77)
+    def test_parallel_dominates_repetition_end_to_end(self, inputs, seed):
+        spec = ExpectationSpec(dims=3, samples=1_000, seed=seed)
+        rep = _rate(Scheme.DF_REPETITION, spec, **inputs)
+        par = _rate(Scheme.DF_PARALLEL, spec, **inputs)
         assert par.value >= rep.value
+        # both schemes decode at the relay from the same source-relay link, bit for bit
+        rep_part, par_part = rep.parts[RELAY_DECODING], par.parts[RELAY_DECODING]
+        assert par_part == rep_part and par_part.value.hex() == rep_part.value.hex()
 
     def test_parallel_quadrature_matches_monte_carlo(self):
         cfg = _cfg(scheme=Scheme.DF_PARALLEL)
