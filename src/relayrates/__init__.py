@@ -18,7 +18,6 @@ from .channel import (
     mmse_quality,
 )
 from .oracle import (
-    VectorChannelSample,
     af_rate_logdet,
     grid_argmax,
     logdet_integrand,

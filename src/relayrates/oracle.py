@@ -17,7 +17,6 @@ package; disagreement beyond sampling noise is a bug by definition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,23 +40,6 @@ EST_SR = 9
 EST_RD = 10
 TRAIN_CHANNEL = 16
 TRAIN_NOISE = 17
-
-
-@dataclass(frozen=True)
-class VectorChannelSample:
-    """One draw of the 2x1 vector channel seen by the destination.
-
-    ``a_vec`` stacks the direct and relayed signal coefficients; ``noise_cov``
-    is the 2x2 covariance of the mixed noise after amplification. ``beta`` is
-    the relay gain at its power limit.
-    """
-
-    h_hat_sd: complex
-    h_hat_sr: complex
-    h_hat_rd: complex
-    beta: float
-    a_vec: np.ndarray
-    noise_cov: np.ndarray
 
 
 def _complex_normal(gen: np.random.Generator, variance: float, n: int) -> np.ndarray:
@@ -93,20 +75,23 @@ def simulate_training_quality(sigma: float, delta: float, m: int, p: float, n0: 
     return EstimationQuality(var_estimate=var_estimate, var_error=var_error)
 
 
-def _vector_channel(cfg: SystemConfig, stats: ChannelStats, seed: int, n: int):
-    """n draws of the vector channel, batched.
+def vector_channel_samples(cfg: SystemConfig, stats: ChannelStats, seed: int, count: int):
+    """``count`` draws of the vector channel of an AF config, batched.
 
-    Returns the estimates (h_sd, h_sr, h_rd), the relay gain beta at its
-    power limit, A (n, 2), the mixed-noise covariance (n, 2, 2) and the
-    energy moments (ex_s, ex_r, ez_r, ez_d, ez_dr).
+    Returns the tuple ``((h_sd, h_sr, h_rd), beta, a, cov, (ex_s, ex_r, ez_r,
+    ez_d, ez_dr))``: the three (count,) estimates, the relay gain beta at its
+    power limit, A (count, 2), the mixed-noise covariance (count, 2, 2) and the
+    energy moments.
     """
-    check_int("count", n, 0, MAX_SAMPLES)
+    if cfg.scheme is not Scheme.AF:
+        raise ValueError(f"config scheme is {cfg.scheme}, expected Scheme.AF")
+    check_int("count", count, 0, MAX_SAMPLES)
     q_sd = mmse_quality(stats.sigma_sd, cfg.delta_s, cfg.m, cfg.p_s, stats.n0)
     q_sr = mmse_quality(stats.sigma_sr, cfg.delta_s, cfg.m, cfg.p_s, stats.n0)
     q_rd = mmse_quality(stats.sigma_rd, cfg.delta_r, cfg.m, cfg.p_r, stats.n0)
-    h_sd = _complex_normal(stream(seed, EST_SD), q_sd.var_estimate, n)
-    h_sr = _complex_normal(stream(seed, EST_SR), q_sr.var_estimate, n)
-    h_rd = _complex_normal(stream(seed, EST_RD), q_rd.var_estimate, n)
+    h_sd = _complex_normal(stream(seed, EST_SD), q_sd.var_estimate, count)
+    h_sr = _complex_normal(stream(seed, EST_SR), q_sr.var_estimate, count)
+    h_rd = _complex_normal(stream(seed, EST_RD), q_rd.var_estimate, count)
 
     ex_s = data_symbol_energy(cfg.delta_s, cfg.m, cfg.p_s)
     ex_r = data_symbol_energy(cfg.delta_r, cfg.m, cfg.p_r)
@@ -119,12 +104,12 @@ def _vector_channel(cfg: SystemConfig, stats: ChannelStats, seed: int, n: int):
     a = np.stack([h_sd, relayed * h_sr], axis=1)
 
     # B = [[0, 1, 0], [relayed, 0, 1]], D = diag(ez_r, ez_d, ez_dr). Each product of
-    # (B D) B^H is a complex constant or an (n,) vector built from `relayed`, summed
-    # over B's three columns in matmul's order, one (n,) entry of Cov at a time.
+    # (B D) B^H is a complex constant or a (count,) vector built from `relayed`, summed
+    # over B's three columns in matmul's order, one (count,) entry of Cov at a time.
     rows = ((0j, 1 + 0j, 0j), (relayed, 0j, 1 + 0j))
     bd = [[np.multiply(x, dk) for x, dk in zip(row, (ez_r, ez_d, ez_dr))] for row in rows]
     bh = [[np.conj(x) for x in row] for row in rows]
-    cov = np.empty((n, 2, 2), dtype=complex)
+    cov = np.empty((count, 2, 2), dtype=complex)
     for i, j in np.ndindex(2, 2):
         entry = cov[:, i, j]
         np.multiply(bd[i][0], bh[j][0], out=entry)
@@ -140,13 +125,15 @@ def _pivot_sqrt(pivot: np.ndarray) -> np.ndarray:
     return np.sqrt(pivot)
 
 
-def _logdet(signal_energy: float, a: np.ndarray, cov: np.ndarray) -> np.ndarray:
+def logdet_integrand(signal_energy: float, a: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """log det(I + E|x|^2 * A A^H * Cov^-1) per draw, for (n, 2) A and (n, 2, 2) Cov.
 
     A A^H has rank one, so this is log(1 + E|x|^2 * ||L^-1 a||^2) with Cov = L L^H.
     L is the lower Cholesky factor of any Hermitian positive-definite Cov, in LAPACK's
     operation order, so it is LAPACK's factor bit for bit where c10 = 0 (the oracle's).
+    Returns the (n,) log-dets.
     """
+    check_real("signal_energy", signal_energy)
     l00 = _pivot_sqrt(cov[:, 0, 0].real)
     l10 = cov[:, 1, 0] * (1.0 / l00)
     l11 = _pivot_sqrt(cov[:, 1, 1].real - (l10.real ** 2 + l10.imag ** 2))
@@ -157,20 +144,6 @@ def _logdet(signal_energy: float, a: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return np.log1p(signal_energy * energy)
 
 
-def vector_channel_samples(cfg: SystemConfig, stats: ChannelStats, seed: int,
-                           count: int) -> list[VectorChannelSample]:
-    """Materialize ``count`` draws of the vector channel for inspection."""
-    (h_sd, h_sr, h_rd), beta, a, cov, _ = _vector_channel(cfg, stats, seed, count)
-    return [VectorChannelSample(complex(h_sd[i]), complex(h_sr[i]), complex(h_rd[i]),
-                                float(beta[i]), a[i], cov[i]) for i in range(count)]
-
-
-def logdet_integrand(sample: VectorChannelSample, signal_energy: float) -> float:
-    """log det(I + E|x|^2 * A A^H * Cov^-1) for one vector-channel draw."""
-    check_real("signal_energy", signal_energy)
-    return float(_logdet(signal_energy, sample.a_vec[None], sample.noise_cov[None])[0])
-
-
 def af_rate_logdet(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec) -> RateEstimate:
     """Amplify-and-forward rate through the vector channel's log-determinant.
 
@@ -179,13 +152,11 @@ def af_rate_logdet(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec
     power limit, and averages log det(I + E|x_s|^2 A A^H (B D B^H)^-1).
     Must agree with :func:`relayrates.rates.af_rate` within sampling error.
     """
-    if cfg.scheme is not Scheme.AF:
-        raise ValueError(f"config scheme is {cfg.scheme}, expected Scheme.AF")
     if spec.method is not Method.MONTE_CARLO:
         raise ValueError("the log-det oracle is Monte Carlo only")
     n = spec.samples
-    _, _, a, cov, (ex_s, *_) = _vector_channel(cfg, stats, spec.seed, n)
-    logs = _logdet(ex_s, a, cov)
+    _, _, a, cov, (ex_s, *_) = vector_channel_samples(cfg, stats, spec.seed, n)
+    logs = logdet_integrand(ex_s, a, cov)
 
     pref = (cfg.m - 2.0) / (2.0 * cfg.m)
     mean = float(logs.mean())
@@ -203,13 +174,13 @@ def max_identity_gap(cfg: SystemConfig, stats: ChannelStats, seed: int, count: i
     from the same estimate draws. The gap is pure floating-point noise; it
     does not shrink with averaging, so a handful of draws suffices.
     """
-    (h_sd, h_sr, h_rd), _, a, cov, (ex_s, ex_r, ez_r, ez_d, ez_dr) = _vector_channel(
+    (h_sd, h_sr, h_rd), _, a, cov, (ex_s, ex_r, ez_r, ez_d, ez_dr) = vector_channel_samples(
         cfg, stats, seed, count)
     snr_sd = ex_s * np.abs(h_sd) ** 2 / ez_d
     snr_sr = ex_s * np.abs(h_sr) ** 2 / ez_r
     snr_rd = ex_r * np.abs(h_rd) ** 2 / ez_dr
     scalar = np.log1p(snr_sd + f_combiner(snr_sr, snr_rd))
-    matrix = _logdet(ex_s, a, cov)
+    matrix = logdet_integrand(ex_s, a, cov)
     return float(np.max(np.abs(matrix - scalar) / np.maximum(np.abs(scalar), 1e-300),
                         initial=0.0))
 

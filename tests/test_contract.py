@@ -86,6 +86,7 @@ KEY = Int(0, 2**64 - 1)
 STATS = ChannelStats(1.0, 4.0, 4.0, 1.0)
 CFG = SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1, scheme=Scheme.AF)
 SPEC = ExpectationSpec(dims=3, samples=64, seed=1)
+_, _, SIGNAL, NOISE_COV, _ = vector_channel_samples(CFG, STATS, seed=0, count=2)
 SWEEP = dict(total_power=100.0, stats=STATS, m=50, delta_s=0.1, delta_r=0.1, scheme=Scheme.AF,
              spec=SPEC, grid_step=0.5)
 
@@ -167,8 +168,7 @@ ROWS = {
                             {"seed": (KEY, "seed"),
                              "count": (Int(0, MAX_SAMPLES), "count")}),
     "logdet_integrand": Row(logdet_integrand,
-                            dict(sample=vector_channel_samples(CFG, STATS, 0, 1)[0],
-                                 signal_energy=10.0),
+                            dict(signal_energy=10.0, a=SIGNAL, cov=NOISE_COV),
                             {"signal_energy": (NONNEG, "signal_energy")}),
     "grid_argmax": Row(grid_argmax, dict(objective=lambda x: -abs(x - 0.3), lo=0.0, hi=1.0,
                                          step=0.05),
@@ -180,7 +180,6 @@ EXEMPT = {
     "Scheme": "enum",
     "Method": "enum",
     "AllocationResult": "result type",
-    "VectorChannelSample": "result type",
     "snr_gain_g_coefficient": "verify's grid kernel only, evaluated on 10^4-point grids; "
                               "unvalidated by design, snr_gain_g is its checked form",
 }

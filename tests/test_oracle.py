@@ -138,6 +138,11 @@ class TestLogdetOracle:
         with pytest.raises(ValueError, match=match):
             af_rate_logdet(cfg, ChannelStats(1.0, 4.0, 4.0, 1.0), spec)
 
+    def test_identity_gap_requires_an_af_config(self):
+        cfg = dataclasses.replace(_cfg(), scheme=Scheme.DF_REPETITION)
+        with pytest.raises(ValueError, match="expected Scheme.AF"):
+            max_identity_gap(cfg, ChannelStats(1.0, 4.0, 4.0, 1.0), seed=0, count=10)
+
     def test_per_draw_identity(self):
         stats = ChannelStats(1.0, 4.0, 4.0, 1.0)
         assert max_identity_gap(_cfg(), stats, seed=60, count=1_000) <= 1e-9
@@ -156,11 +161,10 @@ class TestLogdetOracle:
         assert max_identity_gap(cfg, stats, seed=0, count=1_000) <= 1e-9
 
     def test_indefinite_covariance_is_reported(self):
-        sample = vector_channel_samples(_cfg(), ChannelStats(1.0, 4.0, 4.0, 1.0), seed=63,
-                                        count=1)[0]
-        broken = dataclasses.replace(sample, noise_cov=-sample.noise_cov)
+        _, _, a, cov, _ = vector_channel_samples(_cfg(), ChannelStats(1.0, 4.0, 4.0, 1.0),
+                                                 seed=63, count=1)
         with pytest.raises(ArithmeticError, match="covariance"):
-            logdet_integrand(broken, 1.0)
+            logdet_integrand(1.0, a, -cov)
 
     def test_logdet_matches_slogdet_on_general_covariances(self):
         # the whitening must hold for any Hermitian positive-definite covariance,
@@ -175,7 +179,7 @@ class TestLogdetOracle:
             product = np.eye(2) + energy * outer @ np.linalg.inv(cov)
             sign, reference = np.linalg.slogdet(product)
             np.testing.assert_allclose(sign, 1.0, atol=1e-12)
-            np.testing.assert_allclose(oracle._logdet(energy, a, cov), reference, rtol=1e-12)
+            np.testing.assert_allclose(logdet_integrand(energy, a, cov), reference, rtol=1e-12)
 
     @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, 2.0]],
                                      [[1.0, 1j], [-1j, 1.0]],
@@ -183,11 +187,14 @@ class TestLogdetOracle:
                                      [[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]])
     def test_logdet_rejects_non_positive_definite_covariance(self, cov):
         with pytest.raises(ArithmeticError, match="positive definite"):
-            oracle._logdet(1.0, np.ones((1, 2), dtype=complex), np.array([cov], dtype=complex))
+            logdet_integrand(1.0, np.ones((1, 2), dtype=complex),
+                             np.array([cov], dtype=complex))
 
     def test_zero_count_gives_no_samples(self):
-        assert vector_channel_samples(_cfg(), ChannelStats(1.0, 4.0, 4.0, 1.0), seed=0,
-                                      count=0) == []
+        estimates, beta, a, cov, (ex_s, *_) = vector_channel_samples(
+            _cfg(), ChannelStats(1.0, 4.0, 4.0, 1.0), seed=0, count=0)
+        assert [len(x) for x in (*estimates, beta, a, cov)] == [0] * 6
+        assert logdet_integrand(ex_s, a, cov).shape == (0,)
 
     def test_peak_memory_of_one_call(self):
         # A, Cov and a few (n,) vectors are alive at once, never an (n, 2, 3) B
@@ -202,11 +209,13 @@ class TestLogdetOracle:
 
     def test_vector_samples_respect_invariants(self):
         stats = ChannelStats(1.0, 4.0, 4.0, 1.0)
-        for sample in vector_channel_samples(_cfg(), stats, seed=61, count=50):
-            diag = np.real(np.diag(sample.noise_cov))
+        _, beta, a, cov, _ = vector_channel_samples(_cfg(), stats, seed=61, count=50)
+        logs = logdet_integrand(1.0, a, cov)
+        for i in range(50):
+            diag = np.real(np.diag(cov[i]))
             assert np.all(diag >= stats.n0 - 1e-12)
-            assert sample.beta >= 0.0
-            assert logdet_integrand(sample, 1.0) >= 0.0
+            assert beta[i] >= 0.0
+            assert logs[i] >= 0.0
 
     def test_batched_samples_match_per_draw_construction(self):
         # reference: beta, A and B D B^H built draw by draw from the estimates
@@ -218,14 +227,15 @@ class TestLogdetOracle:
         ex_r = data_symbol_energy(cfg.delta_r, cfg.m, cfg.p_r)
         noise = np.diag([q_sr.var_error * ex_s + stats.n0, q_sd.var_error * ex_s + stats.n0,
                          q_rd.var_error * ex_r + stats.n0])
-        for sample in vector_channel_samples(cfg, stats, seed=62, count=20):
-            beta = math.sqrt(ex_r / (abs(sample.h_hat_sr) ** 2 * ex_s + noise[0, 0]))
-            relayed = sample.h_hat_rd * beta
+        (h_sd, h_sr, h_rd), betas, a, cov, _ = vector_channel_samples(cfg, stats, seed=62,
+                                                                      count=20)
+        for i in range(20):
+            beta = math.sqrt(ex_r / (abs(h_sr[i]) ** 2 * ex_s + noise[0, 0]))
+            relayed = h_rd[i] * beta
             b_mat = np.array([[0.0, 1.0, 0.0], [relayed, 0.0, 1.0]])
-            assert sample.beta == pytest.approx(beta, rel=1e-14)
-            np.testing.assert_allclose(sample.a_vec, [sample.h_hat_sd, relayed * sample.h_hat_sr],
-                                       rtol=1e-14)
-            np.testing.assert_allclose(sample.noise_cov, b_mat @ noise @ b_mat.conj().T,
+            assert betas[i] == pytest.approx(beta, rel=1e-14)
+            np.testing.assert_allclose(a[i], [h_sd[i], relayed * h_sr[i]], rtol=1e-14)
+            np.testing.assert_allclose(cov[i], b_mat @ noise @ b_mat.conj().T,
                                        rtol=1e-14, atol=1e-14)
 
 
@@ -244,7 +254,7 @@ class TestBitForBitKernels:
     def test_covariance_is_batched_b_d_bh(self, config):
         cfg, stats = _af_case(*config)
         for seed in range(3):
-            (_, _, h_rd), beta, _, cov, (_, _, ez_r, ez_d, ez_dr) = oracle._vector_channel(
+            (_, _, h_rd), beta, _, cov, (_, _, ez_r, ez_d, ez_dr) = vector_channel_samples(
                 cfg, stats, seed, 20_000)
             b = np.zeros((len(beta), 2, 3), dtype=complex)
             b[:, 0, 1] = 1.0
@@ -258,13 +268,13 @@ class TestBitForBitKernels:
     def test_logdet_matches_lapack_route(self, config):
         cfg, stats = _af_case(*config)
         for seed in range(3):
-            _, _, a, cov, (ex_s, *_) = oracle._vector_channel(cfg, stats, seed, 20_000)
+            _, _, a, cov, (ex_s, *_) = vector_channel_samples(cfg, stats, seed, 20_000)
             chol = np.linalg.cholesky(cov)
             w0 = a[:, 0] / chol[:, 0, 0]
             w1 = (a[:, 1] - chol[:, 1, 0] * w0) / chol[:, 1, 1]
             energy = w0.real ** 2 + w0.imag ** 2 + (w1.real ** 2 + w1.imag ** 2)
             expected = np.log1p(ex_s * energy)
-            got = oracle._logdet(ex_s, a, cov)
+            got = logdet_integrand(ex_s, a, cov)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("variance", [0.0, 1e-300, 0.3, 1.0, 17.0, 1e12])
