@@ -4,14 +4,14 @@ Nothing here reuses the scalar rate formulas: the training simulator works
 at symbol level on raw pilot observations, and the amplify-and-forward
 evaluator goes through the 2x1 vector channel (signal vector A, noise mixing
 matrix B, explicit amplification beta) and the matrix log-determinant
-log det(I + E A A^H Cov^-1). Cov = B D B^H is summed over B's three columns,
-entry by entry, in the order of a batched matmul, so it is that product bit
-for bit, though B is never formed. The log-det is evaluated in whitened
-Hermitian form, log(1 + E ||L^-1 A||^2) with Cov = L L^H (an explicit 2x2
-Cholesky factor, no LAPACK), which has no cancellation at high power; a
-covariance that is not positive definite is an error.
-Agreement between the two routes is the primary correctness check of the
-package; disagreement beyond sampling noise is a bug by definition.
+log det(I + E A A^H Cov^-1), in two batched kernels. vector_channel_samples
+draws A and Cov = B D B^H, summed over B's three columns entry by entry in the
+order of a batched matmul, so it is that product bit for bit, though B is never
+formed. logdet_integrand evaluates the log-det in whitened Hermitian form,
+log(1 + E ||L^-1 A||^2) with Cov = L L^H (an explicit 2x2 Cholesky factor, no
+LAPACK), which has no cancellation at high power; a covariance that is not
+positive definite is an error. Agreement between the two routes is the primary
+correctness check of the package; disagreement beyond sampling noise is a bug.
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ def logdet_integrand(signal_energy: float, a: np.ndarray, cov: np.ndarray) -> np
     A A^H has rank one, so this is log(1 + E|x|^2 * ||L^-1 a||^2) with Cov = L L^H.
     L is the lower Cholesky factor of any Hermitian positive-definite Cov, in LAPACK's
     operation order, so it is LAPACK's factor bit for bit where c10 = 0 (the oracle's).
-    Returns the (n,) log-dets.
     """
     check_real("signal_energy", signal_energy)
     l00 = _pivot_sqrt(cov[:, 0, 0].real)

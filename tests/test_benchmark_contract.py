@@ -12,6 +12,7 @@ from pathlib import Path
 
 import relayrates
 import relayrates.cli
+import relayrates.oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,3 +53,23 @@ def test_presets_carry_what_the_sweep_workload_reads():
             assert preset.command == "sweep-theta" and preset.params["scheme"] == scheme
             assert {"p", "m", "n0"} <= set(preset.params)
             assert len(preset.sigma_triples) >= curves
+
+
+def test_verify_reaches_the_oracle_kernels_through_their_module(monkeypatch, capsys):
+    # the tracer swaps the bindings relayrates.oracle holds, so verify must call
+    # the kernels through them: af_rate_logdet and max_identity_gap, 5 configs each
+    calls = {"vector_channel_samples": 0, "logdet_integrand": 0}
+
+    def counted(name):
+        original = getattr(relayrates.oracle, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(relayrates.oracle, name, counted(name))
+    relayrates.cli.main(["verify", "--samples", "2000"])
+    capsys.readouterr()
+    assert calls == {"vector_channel_samples": 10, "logdet_integrand": 10}

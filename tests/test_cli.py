@@ -16,9 +16,11 @@ import relayrates.oracle
 from relayrates import (
     ChannelStats,
     ExpectationSpec,
+    Method,
     Scheme,
     SystemConfig,
     af_rate,
+    df_parallel_rate,
     optimal_delta_r,
 )
 from relayrates.cli import THETA_CSV_HEADER, _expand, _write_csv, build_parser, main
@@ -60,6 +62,20 @@ class TestRateCommand:
         par = float(out_par.split("rate_nats=")[1].split()[0])
         assert par >= rep
         assert "binding=" in out_rep
+
+    def test_gauss_laguerre_matches_library_value(self, capsys):
+        code, out, _ = run(capsys, "rate", "--scheme", "df-par", *RATE_ARGS[3:],
+                           "--method", "gl", "--nodes", "32")
+        assert code == 0
+        fields = dict(token.split("=") for token in out.split())
+        expected = df_parallel_rate(
+            SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1,
+                         scheme=Scheme.DF_PARALLEL),
+            ChannelStats(1.0, 4.0, 4.0, 1.0),
+            ExpectationSpec(dims=2, method=Method.GAUSS_LAGUERRE, nodes=32),
+        )
+        assert fields["rate_nats"] == repr(expected.value)
+        assert (fields["std_error"], fields["samples"], fields["method"]) == ("0.0", "0", "gl")
 
     def test_bits_flag_rescales_output(self, capsys):
         _, out_nats, _ = run(capsys, *RATE_ARGS)
@@ -121,6 +137,9 @@ class TestRateCommand:
              "samples"),
             # b*b overflows in the gain coefficient
             (["--p", "1e300", "--theta", "0.5", "--sigma", "1,4,4"], "p_s=5e+299"),
+            # AF is a 3-D expectation, so Monte Carlo only; 186 is the most nodes
+            (["--ps", "60", "--pr", "40", "--sigma", "1,4,4", "--method", "gl"], "Monte Carlo"),
+            (["--ps", "60", "--pr", "40", "--sigma", "1,4,4", "--nodes", "187"], "nodes"),
         ]
         for extra, named in cases:
             code, _, err = run(capsys, *common, *extra)
@@ -154,6 +173,17 @@ class TestSweepTheta:
         assert excinfo.value.code == 2
         assert flag[0] in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_gauss_laguerre_rows_have_no_std_error(self, tmp_path, capsys):
+        out = tmp_path / "gl.csv"
+        code, _, _ = run(capsys, "sweep-theta", "--scheme", "df-rep", "--p", "100",
+                         "--m", "50", "--sigma", "1,4,4", "--delta-s", "0.1",
+                         "--delta-r", "0.1", "--theta-step", "0.25", "--method", "gl",
+                         "--out", str(out))
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 5
+        assert {row.split(",")[2] for row in rows} == {"0.0"}
 
     def test_bit_identical_across_runs(self, tmp_path, capsys):
         blobs = []
@@ -544,6 +574,15 @@ def test_readme_commands_parse(tmp_path, monkeypatch):
         assert callable(args.func)
 
 
+def test_readme_python_examples_run():
+    # every python block of README runs as shown, in a namespace of its own
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 class TestVerifyCommand:
     def test_quick_run_passes_within_budget(self, capsys):
         import time
@@ -579,13 +618,12 @@ class TestVerifyCommand:
         assert out.splitlines()[-1].startswith("verify FAILED in ")
 
     # SHA-256 of ``verify --samples 10000 --seed N`` stdout without its final
-    # timing line, recorded while grid_argmax still called its objective once
-    # per grid point and the log-det oracle whitened through np.linalg.solve.
-    # Like the preset digests, they depend on numpy's Philox stream and log1p.
+    # timing line; every status is "pass". Like the preset digests, they
+    # depend on numpy's Philox stream and log1p.
     VERIFY_SHA256 = {
-        0: "562ecabcae7c720495f94efdb925d28fc1caa7f12cbf9bc70578a6130561f502",
-        1: "a0c4d18edb899c48224081f8ed4cd454de771c43b326da196a6c58096378f306",
-        2: "0763ef297ed439e49509da9beaff6f73b1984949306efc9dee09fb9b89d6a35d",
+        0: "e98afd980189432b74c2556260a78dee40678095af803daf75257ca3a8b4c7a7",
+        1: "5a370ee5f38ec1a8749f4774f0a48e7c3a38ca00a5ab23808fa998fd9e3637bd",
+        2: "48db0b931117079fbdcfc6a1c8b316b84541afe91169a59b6ed1a90810dd5481",
     }
 
     @recorded_build
