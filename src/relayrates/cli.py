@@ -42,12 +42,12 @@ from .rates import (
     COMBINING,
     RATE_FN,
     RELAY_DECODING,
+    DrawSet,
     ExpectationSpec,
     Method,
     RateEstimate,
     af_rate,
     closed_grid,
-    common_draws,
 )
 
 LN2 = math.log(2.0)
@@ -265,12 +265,12 @@ def cmd_optimal_training(args) -> int:
                              sigma_rd=args.sigma_rd, n0=args.n0)
         d1, d2 = suboptimal_delta_s(args.m, args.ps, stats)
         lines.append(f"delta_s_via_direct={d1!r} delta_s_via_relay={d2!r} P_s={args.ps!r}")
-    if args.global_delta:
-        if args.ps is None or args.scheme is None:
-            raise ValueError("--global-delta needs --scheme and --ps")
+    if args.scheme is not None:
+        if args.ps is None:
+            raise ValueError("--scheme needs --ps")
         scheme = Scheme(args.scheme)
         spec = ExpectationSpec(dims=3, samples=args.samples, seed=args.seed)
-        draws = common_draws(spec)
+        draws = DrawSet(spec)
 
         def full_rate(delta: float) -> float:
             cfg = SystemConfig(m=args.m, p_s=args.ps, p_r=args.pr,
@@ -427,9 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--ps", type=float)
     p_opt.add_argument("--sigma-sd", type=float)
     p_opt.add_argument("--sigma-sr", type=float)
-    p_opt.add_argument("--global-delta", action="store_true",
+    p_opt.add_argument("--scheme", choices=schemes,
                        help="also grid-search delta_r against the full rate")
-    p_opt.add_argument("--scheme", choices=schemes)
     p_opt.add_argument("--delta-s", type=float, default=0.1)
     p_opt.add_argument("--delta-step", type=float, default=0.01)
     add_common(p_opt)
@@ -446,7 +445,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(_expand(argv))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader stopped early; the run itself did not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # so the exit-time flush is silent
+        return 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ended
     except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

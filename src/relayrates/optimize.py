@@ -7,7 +7,8 @@ The source/relay power split theta is swept on a grid with common random
 numbers, free of sampling noise between grid points: a Monte Carlo sweep call
 draws its three |w|^2 vectors once into a ``rates.DrawSet`` bound to its spec
 (which states the memory), and every point rescales them into that set's
-scratch. A quadrature sweep has no set.
+scratch; a quadrature spec's set holds nothing. ``snr_gain_g_coefficient`` is
+``rates``' gain formula, bound here too.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from .rates import (
     DrawSet,
     ExpectationSpec,
     RateEstimate,
-    _gain_coefficient,
     _grid_array,
     closed_grid,
-    common_draws,
+    snr_gain_g_coefficient,
 )
 
 
@@ -89,15 +89,6 @@ def optimal_delta_r(m: int, p: float, sigma: float, n0: float) -> float:
     return delta
 
 
-def snr_gain_g_coefficient(a, b: float, c: float, n0: float, m: int):
-    """Coefficient of |w|^2 in the SNR gain, vectorized over the training fraction.
-
-    Same formula as :func:`relayrates.rates.snr_gain_g` at |w|^2 = 1, without
-    its input validation.
-    """
-    return _gain_coefficient(np.asarray(a, dtype=float), b, c, n0, m)
-
-
 def suboptimal_delta_s(m: int, p_s: float, stats: ChannelStats) -> tuple[float, float]:
     """Source training fractions optimizing each outgoing link separately.
 
@@ -125,13 +116,13 @@ def theta_sweep(total_power: float, stats: ChannelStats, m: int, delta_s: float,
                 grid_step: float = 0.01) -> list[tuple[float, RateEstimate]]:
     """Rate at every theta on the closed grid [0, 1], common random numbers.
 
-    The three |w|^2 vectors of ``spec`` are drawn once per call
-    (``common_draws``); each point rescales them into the set's scratch and
-    equals a standalone rate call bit for bit.
+    The three |w|^2 vectors of ``spec`` are drawn once per call into its
+    ``DrawSet``; each point rescales them into the set's scratch and equals a
+    standalone rate call bit for bit.
     """
     check_real("grid_step", grid_step, hi=1.0, open_lo=True)
     thetas = closed_grid(0.0, 1.0, grid_step)
-    draws = common_draws(spec)
+    draws = DrawSet(spec)
     return [(theta, _rate_at(theta, total_power, stats, m, delta_s, delta_r, scheme, spec, draws))
             for theta in thetas]
 
@@ -161,7 +152,7 @@ def joint_allocation(total_power: float, stats: ChannelStats, m: int, scheme: Sc
     """
     check_real("total_power", total_power, open_lo=True)
     thetas = closed_grid(0.0, 1.0, theta_step)
-    draws = common_draws(spec)
+    draws = DrawSet(spec)
     best: tuple[float, float, float, RateEstimate] | None = None
     for theta in thetas:
         split = PowerSplit(total=total_power, theta=theta)

@@ -13,15 +13,14 @@ Monte Carlo draws invert counter-based Philox uniforms keyed by
 (seed, role) through numpy's vectorized ``log1p``, one uniform per draw, so
 sample i is the same in every context and identical seeds give identical
 draws for every scheme and every power split (common random numbers). A
-sweep draws its three vectors once into a ``DrawSet`` bound to its spec
-(``common_draws``); every grid point rescales them by its own gains into the
-set's scratch, where the integrands compute in place, bit for bit what a
-standalone call computes. A standalone call, or one handed the set of
-another spec, scales fresh draws in place and holds 4 arrays of samples
-floats (AF) or 2 (DF). Quadrature (weight: the exponential density) is one
-tensor Gauss-Laguerre rule over 1-D or 2-D expectations. The module also
-holds what the optimizer and the oracles share: ``RATE_FN``, ``closed_grid``
-and the search result.
+sweep draws its three vectors once into a ``DrawSet`` bound to its spec;
+every grid point rescales them by its own gains into the set's scratch, where
+the integrands compute in place, bit for bit what a standalone call computes.
+A standalone call, or one handed the set of another spec, scales fresh draws
+in place and holds 4 arrays of samples floats (AF) or 2 (DF). Quadrature
+(weight: the exponential density) is one tensor Gauss-Laguerre rule over 1-D
+or 2-D expectations. The module also holds what the optimizer and the oracles
+share: ``RATE_FN``, ``closed_grid``, the search result and the gain formula.
 """
 
 from __future__ import annotations
@@ -197,20 +196,16 @@ class DrawSet:
     ``scratch`` buffers, so a sweep faults its temporaries in once; a call with
     any other spec draws afresh. The set saves work but never changes a value.
     It holds 3 + 4 arrays of samples floats, which is all a sweep holds: 5.6 MB
-    at 10^5 samples, 560 MB at MAX_SAMPLES.
+    at 10^5 samples, 560 MB at MAX_SAMPLES. A quadrature spec's set holds nothing.
     """
 
     def __init__(self, spec: ExpectationSpec):
         self.spec = spec
-        self.w = [exp_draws(spec.seed, tag, spec.samples) for tag in (W_SD, W_SR, W_RD)]
+        mc = spec.method is Method.MONTE_CARLO
+        self.w = [exp_draws(spec.seed, tag, spec.samples) for tag in (W_SD, W_SR, W_RD) if mc]
         for vector in self.w:
             vector.flags.writeable = False
-        self.scratch = [np.empty(spec.samples) for _ in range(4)]
-
-
-def common_draws(spec: ExpectationSpec) -> DrawSet | None:
-    """The ``DrawSet`` of ``spec`` for a sweep; None unless ``spec`` is Monte Carlo."""
-    return DrawSet(spec) if spec.method is Method.MONTE_CARLO else None
+        self.scratch = [np.empty(spec.samples) for _ in range(4 if mc else 0)]
 
 
 @lru_cache(maxsize=16)  # a 1-D and a 2-D rule for each of 8 node counts
@@ -273,8 +268,12 @@ def expect_over_exponentials(integrand: Callable[..., np.ndarray],
     return _expectation(integrand, (1.0,) * spec.dims, range(spec.dims), spec)
 
 
-def _gain_coefficient(a, b, c, n0, m):
-    # Coefficient of |w|^2 in the per-link SNR gain; ``a`` may be an array.
+def snr_gain_g_coefficient(a, b: float, c: float, n0: float, m: int):
+    """Coefficient of |w|^2 in the SNR gain; ``a`` is a float or an ndarray.
+
+    The formula of :func:`snr_gain_g` at |w|^2 = 1, which is its checked form;
+    this one validates nothing.
+    """
     c2 = c * c
     num = 2.0 * a * (1.0 - a) * m * m * b * b * c2 * c2
     den = 2.0 * (1.0 - a) * m * b * c2 * n0 + (m - 2.0) * (c2 * a * m * b + n0) * n0
@@ -284,7 +283,7 @@ def _gain_coefficient(a, b, c, n0, m):
 def _finite_gain(a, b, c, n0, m, names: tuple[str, str, str], link: str) -> float:
     # the coefficient at scalar inputs; a ValueError names them where it is not finite
     try:
-        gain = _gain_coefficient(a, b, c, n0, m)
+        gain = snr_gain_g_coefficient(a, b, c, n0, m)
     except ZeroDivisionError:  # the denominator underflowed to 0
         gain = math.nan
     if not math.isfinite(gain):
@@ -376,7 +375,7 @@ def af_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
     (m-2)/(2m) * E[ log(1 + g_sd + f(g_sr, g_rd)) ] over independent
     exponential draws of the three |w|^2 variables. Monte Carlo only; the
     3-D expectation has no quadrature route here (the matrix-form oracle is
-    the cross-check). ``draws`` (from ``common_draws``) lets a sweep skip
+    the cross-check). ``draws``, a ``DrawSet`` of ``spec``, lets a sweep skip
     the draw and reuse its scratch; the value is the same without it.
     """
     _require(cfg, spec, Scheme.AF)

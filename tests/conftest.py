@@ -2,7 +2,16 @@ import sys
 
 import pytest
 
-from relayrates import rates
+from relayrates import optimize, rates
+
+
+def _rebind(monkeypatch, original, replacement) -> None:
+    # every binding the package holds, as the benchmark's tracer swaps them
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "relayrates" or name.startswith("relayrates.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 @pytest.fixture
@@ -20,9 +29,20 @@ def draw_calls(monkeypatch):
         calls.append((args + tuple(sorted(kwargs.items())), result))
         return result
 
-    for name, module in list(sys.modules.items()):
-        if module is not None and (name == "relayrates" or name.startswith("relayrates.")):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    _rebind(monkeypatch, original, counted)
+    return calls
+
+
+@pytest.fixture
+def gain_calls(monkeypatch):
+    """Record the arguments of each ``optimize.snr_gain_g_coefficient`` call,
+    through every binding the package holds."""
+    original = optimize.snr_gain_g_coefficient
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    _rebind(monkeypatch, original, counted)
     return calls

@@ -10,6 +10,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import relayrates
 import relayrates.cli
 import relayrates.oracle
@@ -73,3 +75,20 @@ def test_verify_reaches_the_oracle_kernels_through_their_module(monkeypatch, cap
     relayrates.cli.main(["verify", "--samples", "2000"])
     capsys.readouterr()
     assert calls == {"vector_channel_samples": 10, "logdet_integrand": 10}
+
+
+@pytest.mark.parametrize("scheme", list(relayrates.Scheme))
+def test_rates_reach_the_gain_formula_through_its_traced_binding(gain_calls, scheme):
+    # one call per link: sd, sr and rd
+    cfg = relayrates.SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1,
+                                  scheme=scheme)
+    spec = relayrates.ExpectationSpec(dims=3, samples=200, seed=1)
+    relayrates.rates.RATE_FN[scheme](cfg, relayrates.ChannelStats(1.0, 4.0, 4.0, 1.0), spec)
+    assert len(gain_calls) == 3
+
+
+def test_verify_reaches_the_gain_formula_through_its_traced_binding(gain_calls, capsys):
+    # 5 af_rate calls of 3 links each, and 20 grid searches of the relay fraction
+    relayrates.cli.main(["verify", "--samples", "2000"])
+    capsys.readouterr()
+    assert len(gain_calls) == 15 + 20

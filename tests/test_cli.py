@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shlex
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -308,8 +309,8 @@ class TestSweepSigmaRd:
       "--out", "out.csv"], "m must be"),
     (["optimal-training", "--m", "50", "--pr", "0", "--sigma-rd", "1"], "p must be"),
     # misuse found after the relay fraction is known still prints no result line
-    (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--global-delta"],
-     "--global-delta needs"),
+    (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--scheme", "af"],
+     "--scheme needs"),
     (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--ps", "10"],
      "--ps needs"),
     (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--ps", "10",
@@ -349,7 +350,7 @@ class TestOptimalTraining:
     def test_global_delta_grid(self, capsys):
         code, out, _ = run(capsys, "optimal-training", "--m", "50", "--pr", "40",
                            "--sigma-rd", "4", "--ps", "60", "--sigma-sd", "1",
-                           "--sigma-sr", "4", "--global-delta", "--scheme", "af",
+                           "--sigma-sr", "4", "--scheme", "af",
                            "--samples", "2000", "--delta-step", "0.05")
         assert code == 0
         assert "delta_r_grid=" in out and "rate_nats=" in out
@@ -357,7 +358,7 @@ class TestOptimalTraining:
     def test_global_delta_searches_at_sigma_rd(self, capsys):
         code, out, _ = run(capsys, "optimal-training", "--m", "50", "--pr", "40",
                            "--sigma-rd", "1", "--ps", "60", "--sigma-sd", "1",
-                           "--sigma-sr", "4", "--global-delta", "--scheme", "af",
+                           "--sigma-sr", "4", "--scheme", "af",
                            "--samples", "2000", "--delta-step", "0.05")
         assert code == 0
         fields = dict(token.split("=") for token in out.split() if "=" in token)
@@ -372,7 +373,7 @@ class TestOptimalTraining:
                                                                    scheme):
         code, out, _ = run(capsys, "optimal-training", "--m", "50", "--pr", "40",
                            "--sigma-rd", "1", "--ps", "60", "--sigma-sd", "1",
-                           "--sigma-sr", "4", "--global-delta", "--scheme", scheme.value,
+                           "--sigma-sr", "4", "--scheme", scheme.value,
                            "--samples", "2000", "--delta-step", "0.05", "--seed", "5")
         assert code == 0
         assert sorted(args for args, _ in draw_calls) == [(5, tag, 2000) for tag in range(3)]
@@ -383,6 +384,16 @@ class TestOptimalTraining:
         expected = RATE_FN[scheme](cfg, ChannelStats(1.0, 4.0, 1.0, 1.0),
                                    ExpectationSpec(dims=3, samples=2000, seed=5))
         assert fields["rate_nats"] == repr(expected.value)
+
+    def test_global_delta_is_a_removed_flag(self, capsys):
+        # --scheme alone turns the grid search on
+        with pytest.raises(SystemExit) as excinfo:
+            main(["optimal-training", "--m", "50", "--pr", "40", "--sigma-rd", "1",
+                  "--ps", "60", "--sigma-sd", "1", "--sigma-sr", "4", "--global-delta",
+                  "--scheme", "af"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--global-delta" in captured.err
 
 
 class TestAbbreviations:
@@ -616,6 +627,21 @@ class TestVerifyCommand:
         status = {line.split()[1]: line.split()[0] for line in out.splitlines()[1:-1]}
         assert status == {c: "FAIL" if c == check else "pass" for c in self.BIASES}
         assert out.splitlines()[-1].startswith("verify FAILED in ")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_is_not_a_failure(self, unbuffered):
+        # a reader that stops early ends the run with 128 + SIGPIPE and no error line
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        package_root = str(Path(relayrates.cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "relayrates.cli", "verify",
+                                 "--samples", "2000"], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
 
     # SHA-256 of ``verify --samples 10000 --seed N`` stdout without its final
     # timing line; every status is "pass". Like the preset digests, they

@@ -180,7 +180,8 @@ EXEMPT = {
     "Scheme": "enum",
     "Method": "enum",
     "AllocationResult": "result type",
-    "snr_gain_g_coefficient": "verify's grid kernel only, evaluated on 10^4-point grids; "
+    "snr_gain_g_coefficient": "the formula every gain route evaluates: the rates at "
+                              "scalars, verify's grid kernel on 10^4-point grids; "
                               "unvalidated by design, snr_gain_g is its checked form",
 }
 # Entry points whose only numbers arrive inside objects built (and checked) by

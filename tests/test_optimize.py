@@ -33,7 +33,7 @@ from relayrates import (
     theta_sweep,
 )
 from relayrates.optimize import _DELTA_GRID
-from relayrates.rates import RATE_FN, common_draws, exp_draws
+from relayrates.rates import RATE_FN, DrawSet, _finite_gain, exp_draws
 from test_contract import BLOCKS, log_uniform
 
 HIGH_SNR_LIMIT_M50 = (math.sqrt(96.0) - 2.0) / 46.0  # limit of the closed form as P grows
@@ -168,6 +168,16 @@ class TestOptimalDeltaR:
         a = _DELTA_GRID[1:-1]
         ratio = snr_gain_g_coefficient(a, p, sigma, n0, m) * (1.0 + c * a) / (a * (1.0 - a))
         assert np.ptp(ratio) <= 1e-13 * np.max(ratio)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(3, 1000).map(lambda k: 2 * k), b=log_uniform(-6.0, 6.0),
+           c=log_uniform(-6.0, 6.0), n0=log_uniform(-6.0, 6.0))
+    def test_grid_kernel_is_the_rates_gain_bit_for_bit(self, m, b, c, n0):
+        # verify's array route and the rates' scalar route evaluate one formula
+        grid = snr_gain_g_coefficient(_DELTA_GRID, b, c, n0, m)
+        names = ("a", "b", "c")
+        assert [g.hex() for g in grid.tolist()] == [
+            _finite_gain(a, b, c, n0, m, names, "snr").hex() for a in _DELTA_GRID.tolist()]
 
     def test_stays_inside_open_unit_interval(self):
         for m in (6, 10, 50, 200):
@@ -360,8 +370,9 @@ class TestCommonDraws:
 
     def test_quadrature_sweep_draws_nothing(self, draw_calls):
         theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.DF_PARALLEL, GL, grid_step=0.1)
+        empty = DrawSet(GL)
         assert draw_calls == []
-        assert common_draws(GL) is None
+        assert (empty.spec, empty.w, empty.scratch) == (GL, [], [])
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("theta_step", [0.1, 0.05])
@@ -373,7 +384,7 @@ class TestCommonDraws:
         assert _bits(best) == _bits(_standalone(theta, d_s, d_r, scheme, MC))
 
     def test_shared_draws_are_read_only(self):
-        draws = common_draws(MC)
+        draws = DrawSet(MC)
         assert draws.spec == MC
         assert [vector.tobytes() for vector in draws.w] == [exp_draws(*args).tobytes()
                                                             for args in STREAMS]
@@ -384,7 +395,7 @@ class TestCommonDraws:
                 vector *= 2.0
 
     def test_draws_of_another_spec_change_nothing(self, draw_calls):
-        other = common_draws(ExpectationSpec(dims=3, samples=2_000, seed=54))
+        other = DrawSet(ExpectationSpec(dims=3, samples=2_000, seed=54))
         cfg = SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1, scheme=Scheme.AF)
         with_other = af_rate(cfg, STATS, MC, draws=other)
         assert _bits(with_other) == _bits(af_rate(cfg, STATS, MC))

@@ -33,7 +33,7 @@ from relayrates import (
     mmse_quality,
     snr_gain_g,
 )
-from relayrates.rates import MAX_NODES, MAX_SAMPLES, RATE_FN, common_draws, stream
+from relayrates.rates import MAX_NODES, MAX_SAMPLES, RATE_FN, DrawSet, stream
 from test_contract import BLOCKS, FRACTIONS, log_uniform
 from test_preset_bytes import RECORDED_NUMPY
 
@@ -302,7 +302,7 @@ class TestEngineOwnership:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_a_draw_set_is_never_written(self, scheme):
         spec = ExpectationSpec(dims=3, samples=2_000, seed=19)
-        draws = common_draws(spec)
+        draws = DrawSet(spec)
         before = [vector.tobytes() for vector in draws.w]
         rate = RATE_FN[scheme](_cfg(scheme=scheme), _stats(), spec, draws=draws)
         assert [vector.tobytes() for vector in draws.w] == before
