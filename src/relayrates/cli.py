@@ -24,7 +24,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .channel import ChannelStats, Scheme, SystemConfig, check_int, mmse_quality
+from .channel import ChannelStats, Scheme, SystemConfig, check_int, check_real, mmse_quality
 from .oracle import (
     af_rate_logdet,
     grid_argmax,
@@ -39,15 +39,13 @@ from .optimize import (
     theta_sweep,
 )
 from .rates import (
-    COMBINING,
-    RATE_FN,
-    RELAY_DECODING,
     DrawSet,
     ExpectationSpec,
     Method,
     RateEstimate,
     af_rate,
     closed_grid,
+    rate,
 )
 
 LN2 = math.log(2.0)
@@ -176,8 +174,8 @@ def _rate_tokens(rate: RateEstimate, bits: bool) -> list[str]:
               f"std_error={rate.std_error * scale!r}"]
     if rate.parts:
         tokens.append(f"binding={rate.binding}")
-        for name in (RELAY_DECODING, COMBINING):
-            tokens.append(f"{name}_{unit}={rate.parts[name].value * scale!r}")
+        for name, part in rate.parts.items():
+            tokens.append(f"{name}_{unit}={part.value * scale!r}")
     return tokens
 
 
@@ -193,9 +191,9 @@ def cmd_rate(args) -> int:
     stats = ChannelStats(*args.sigma[:3], n0=args.n0)
     cfg = SystemConfig(m=args.m, p_s=p_s, p_r=p_r, delta_s=args.delta_s,
                        delta_r=args.delta_r, scheme=scheme)
-    rate = RATE_FN[scheme](cfg, stats, _expectation_spec(args))
-    tokens = [f"scheme={args.scheme}"] + _rate_tokens(rate, args.bits)
-    tokens += [f"samples={rate.samples}", f"seed={args.seed}", f"method={args.method}"]
+    estimate = rate(cfg, stats, _expectation_spec(args))
+    tokens = [f"scheme={args.scheme}"] + _rate_tokens(estimate, args.bits)
+    tokens += [f"samples={estimate.samples}", f"seed={args.seed}", f"method={args.method}"]
     print(" ".join(tokens))
     return 0
 
@@ -255,6 +253,10 @@ def cmd_sweep_sigma_rd(args) -> int:
 
 
 def cmd_optimal_training(args) -> int:
+    # the search flags are checked whether or not --scheme runs the search
+    spec = ExpectationSpec(dims=3, samples=args.samples, seed=args.seed)
+    check_real("--delta-s", args.delta_s, hi=1.0)
+    check_real("--delta-step", args.delta_step, hi=0.1, open_lo=True)
     delta_r = optimal_delta_r(args.m, args.pr, args.sigma_rd, args.n0)
     lines = [f"delta_r_opt={delta_r!r} m={args.m} P_r={args.pr!r} "
              f"sigma_rd={args.sigma_rd!r} n0={args.n0!r}"]
@@ -269,13 +271,12 @@ def cmd_optimal_training(args) -> int:
         if args.ps is None:
             raise ValueError("--scheme needs --ps")
         scheme = Scheme(args.scheme)
-        spec = ExpectationSpec(dims=3, samples=args.samples, seed=args.seed)
         draws = DrawSet(spec)
 
         def full_rate(delta: float) -> float:
             cfg = SystemConfig(m=args.m, p_s=args.ps, p_r=args.pr,
                                delta_s=args.delta_s, delta_r=delta, scheme=scheme)
-            return RATE_FN[scheme](cfg, stats, spec, draws=draws).value
+            return rate(cfg, stats, spec, draws=draws).value
 
         found = grid_argmax(lambda g: [full_rate(float(d)) for d in g], 0.0, 1.0,
                             args.delta_step)

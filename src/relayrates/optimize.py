@@ -7,8 +7,9 @@ The source/relay power split theta is swept on a grid with common random
 numbers, free of sampling noise between grid points: a Monte Carlo sweep call
 draws its three |w|^2 vectors once into a ``rates.DrawSet`` bound to its spec
 (which states the memory), and every point rescales them into that set's
-scratch; a quadrature spec's set holds nothing. ``snr_gain_g_coefficient`` is
-``rates``' gain formula, bound here too.
+scratch; a quadrature spec's set holds nothing. Each point's rate is
+``rates.rate`` of its config, whose scheme picks the parts.
+``snr_gain_g_coefficient`` is ``rates``' gain formula, bound here too.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ import numpy as np
 
 from .channel import ChannelStats, Scheme, SystemConfig, check_int, check_real
 from .rates import (
-    RATE_FN,
     AllocationResult,
     DrawSet,
     ExpectationSpec,
     RateEstimate,
     _grid_array,
     closed_grid,
+    rate,
     snr_gain_g_coefficient,
 )
 
@@ -108,7 +109,7 @@ def _rate_at(theta: float, total_power: float, stats: ChannelStats, m: int,
     split = PowerSplit(total=total_power, theta=theta)
     cfg = SystemConfig(m=m, p_s=split.p_s, p_r=split.p_r,
                        delta_s=delta_s, delta_r=delta_r, scheme=scheme)
-    return RATE_FN[scheme](cfg, stats, spec, draws=draws)
+    return rate(cfg, stats, spec, draws=draws)
 
 
 def theta_sweep(total_power: float, stats: ChannelStats, m: int, delta_s: float,
@@ -162,8 +163,8 @@ def joint_allocation(total_power: float, stats: ChannelStats, m: int, scheme: Sc
         else:
             candidates = {0.0}
         for delta_s in sorted(candidates):
-            rate = _rate_at(theta, total_power, stats, m, delta_s, delta_r, scheme, spec, draws)
-            if best is None or rate.value > best[3].value:
-                best = (theta, delta_s, delta_r, rate)
+            estimate = _rate_at(theta, total_power, stats, m, delta_s, delta_r, scheme, spec, draws)
+            if best is None or estimate.value > best[3].value:
+                best = (theta, delta_s, delta_r, estimate)
     assert best is not None
     return best

@@ -2,12 +2,13 @@
 
 Every rate is an expectation of ``log(1 + SNR)`` over the squared magnitudes
 of normalized fading estimates: independent exponential(1) variables, each
-scaled by its link's gain coefficient. One engine, ``_expectation``,
-evaluates all of them: it draws (or places Gauss-Laguerre nodes for) ``c*X``
-per link, applies the scheme's integrand over the gains and checks that the
-mean is finite and lies within the sampled values. AF integrates
-log(1 + g_sd + f(g_sr, g_rd)); both DF schemes take the min of the relay
-decoding term log(1 + g_sr) and a combining term.
+scaled by its link's gain coefficient. ``PARTS`` lists each scheme's parts and
+``rate`` returns the least of them, each evaluated by one engine,
+``_expectation``: it draws (or places Gauss-Laguerre nodes for) ``c*X`` per
+link, applies the part's integrand over the gains and checks that the mean is
+finite and lies within the sampled values. AF's one part combines at the
+destination, log(1 + g_sd + f(g_sr, g_rd)); each DF scheme takes the min of
+its own combining part and the relay decoding part log(1 + g_sr).
 
 Monte Carlo draws invert counter-based Philox uniforms keyed by
 (seed, role) through numpy's vectorized ``log1p``, one uniform per draw, so
@@ -20,7 +21,7 @@ A standalone call, or one handed the set of another spec, scales fresh draws
 in place and holds 4 arrays of samples floats (AF) or 2 (DF). Quadrature
 (weight: the exponential density) is one tensor Gauss-Laguerre rule over 1-D
 or 2-D expectations. The module also holds what the optimizer and the oracles
-share: ``RATE_FN``, ``closed_grid``, the search result and the gain formula.
+share: ``rate``, ``closed_grid``, the search result and the gain formula.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -41,7 +42,8 @@ W_SD = 0
 W_SR = 1
 W_RD = 2
 
-# Keys used in RateEstimate.parts for the two decode-and-forward constraints.
+# Part names: every destination combines the direct and relayed signals, and
+# decode-and-forward also needs the relay to decode.
 RELAY_DECODING = "relay_decoding"
 COMBINING = "combining"
 
@@ -350,79 +352,73 @@ def _gains(cfg: SystemConfig, stats: ChannelStats):
                  for link, fraction, power in links)
 
 
-def _rate(integrand, coefficients, tags, m: int, spec: ExpectationSpec,
-          draws: DrawSet | None) -> RateEstimate:
-    # two pilot symbols plus half-duplex halving
-    prefactor = (m - 2.0) / (2.0 * m)
-    mean, std_error = _expectation(integrand, coefficients, tags, spec, draws)
-    samples = spec.samples if spec.method is Method.MONTE_CARLO else 0
-    return RateEstimate(prefactor * mean, prefactor * std_error, samples, spec.method)
+# Each scheme's rate is the least of its parts, (name, link tags, integrand). An
+# integrand takes a spare buffer of the draws' length (or None) and the links'
+# scaled draws, which it may overwrite, and returns log(1 + SNR) per sample.
+_RELAY_DECODING = (RELAY_DECODING, (W_SR,), lambda spare, g_sr: np.log1p(g_sr, out=g_sr))
+PARTS = {
+    Scheme.AF: [(COMBINING, (W_SD, W_SR, W_RD), lambda spare, g_sd, g_sr, g_rd: np.log1p(
+        np.add(g_sd, _combine(g_sr, g_rd, g_sr, spare), out=g_sd), out=g_sd))],
+    Scheme.DF_REPETITION: [_RELAY_DECODING, (COMBINING, (W_SD, W_RD), lambda spare, g_sd, g_rd:
+        np.log1p(np.add(g_sd, g_rd, out=g_sd), out=g_sd))],
+    Scheme.DF_PARALLEL: [_RELAY_DECODING, (COMBINING, (W_SD, W_RD), lambda spare, g_sd, g_rd:
+        np.add(np.log1p(g_sd, out=g_sd), np.log1p(g_rd, out=g_rd), out=g_sd))],
+}
 
 
-def _require(cfg: SystemConfig, spec: ExpectationSpec, scheme: Scheme) -> None:
+def rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
+         draws: DrawSet | None = None) -> RateEstimate:
+    """Worst-case rate of ``cfg.scheme``: the least of its ``PARTS``.
+
+    Each part is (m-2)/(2m) * E[ integrand ] over the exponential draws of the
+    links it reads, scaled by their gains. A Monte Carlo spec has dims 3, a
+    quadrature spec dims 2, so AF, whose one part reads all three links, is
+    Monte Carlo only (the matrix-form oracle is its cross-check). A DF rate
+    carries its parts; AF carries none. ``draws``, a ``DrawSet`` of ``spec``,
+    lets a sweep skip the draw and reuse its scratch; the value is the same.
+    """
+    mc = spec.method is Method.MONTE_CARLO
+    if not mc and cfg.scheme is Scheme.AF:
+        raise ValueError("af_rate requires Monte Carlo (3-D expectation)")
+    dims = 3 if mc else 2  # all three magnitudes, or DF's two
+    check_int(f"dims of a {spec.method.value} rate", spec.dims, dims, dims)
+    gains = _gains(cfg, stats)
+    spare = draws.scratch[3] if mc and draws is not None and draws.spec == spec else None
+    prefactor = (cfg.m - 2.0) / (2.0 * cfg.m)  # two pilot symbols plus half-duplex halving
+    parts = {}
+    for name, links, integrand in PARTS[cfg.scheme]:
+        mean, std_error = _expectation(partial(integrand, spare), [gains[tag] for tag in links],
+                                       links, spec, draws)
+        parts[name] = RateEstimate(prefactor * mean, prefactor * std_error,
+                                   spec.samples if mc else 0, spec.method)
+    least = min(parts.values(), key=lambda r: r.value)
+    return replace(least, parts=parts) if len(parts) > 1 else least
+
+
+def _require_scheme(cfg: SystemConfig, scheme: Scheme) -> None:
     if cfg.scheme is not scheme:
         raise ValueError(f"config scheme is {cfg.scheme}, expected {scheme}")
-    if spec.method is Method.GAUSS_LAGUERRE and scheme is Scheme.AF:
-        raise ValueError("af_rate requires Monte Carlo (3-D expectation)")
-    dims = 3 if spec.method is Method.MONTE_CARLO else 2  # all three magnitudes, or DF's two
-    check_int(f"dims of a {spec.method.value} rate", spec.dims, dims, dims)
 
 
 def af_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
             draws: DrawSet | None = None) -> RateEstimate:
-    """Worst-case amplify-and-forward rate.
-
-    (m-2)/(2m) * E[ log(1 + g_sd + f(g_sr, g_rd)) ] over independent
-    exponential draws of the three |w|^2 variables. Monte Carlo only; the
-    3-D expectation has no quadrature route here (the matrix-form oracle is
-    the cross-check). ``draws``, a ``DrawSet`` of ``spec``, lets a sweep skip
-    the draw and reuse its scratch; the value is the same without it.
-    """
-    _require(cfg, spec, Scheme.AF)
-    spare = draws.scratch[3] if draws is not None and draws.spec == spec else None
-    return _rate(lambda g_sd, g_sr, g_rd: np.log1p(
-                     np.add(g_sd, _combine(g_sr, g_rd, g_sr, spare), out=g_sd), out=g_sd),
-                 _gains(cfg, stats), (W_SD, W_SR, W_RD), cfg.m, spec, draws)
-
-
-def _df_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec,
-             scheme: Scheme, combining, draws: DrawSet | None) -> RateEstimate:
-    """min of the relay-decoding and combining rates, both kept in ``parts``."""
-    _require(cfg, spec, scheme)
-    c_sd, c_sr, c_rd = _gains(cfg, stats)
-    parts = {
-        RELAY_DECODING: _rate(lambda g: np.log1p(g, out=g), (c_sr,), (W_SR,), cfg.m, spec, draws),
-        COMBINING: _rate(combining, (c_sd, c_rd), (W_SD, W_RD), cfg.m, spec, draws),
-    }
-    return replace(min(parts.values(), key=lambda r: r.value), parts=parts)
+    """``rate`` of an amplify-and-forward config: E[ log(1 + g_sd + f(g_sr, g_rd)) ]."""
+    _require_scheme(cfg, Scheme.AF)
+    return rate(cfg, stats, spec, draws=draws)
 
 
 def df_repetition_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
                        draws: DrawSet | None = None) -> RateEstimate:
-    """Decode-and-forward rate when the relay repeats the source codeword.
-
-    min of the relay-decoding rate and the destination rate
-    (m-2)/(2m) * E[ log(1 + g_sd + g_rd) ]; both appear in ``parts``.
-    """
-    return _df_rate(cfg, stats, spec, Scheme.DF_REPETITION,
-                    lambda g_sd, g_rd: np.log1p(np.add(g_sd, g_rd, out=g_sd), out=g_sd), draws)
+    """``rate`` of a decode-and-forward config whose relay repeats the source codeword:
+    the min of relay decoding and the combining rate E[ log(1 + g_sd + g_rd) ]."""
+    _require_scheme(cfg, Scheme.DF_REPETITION)
+    return rate(cfg, stats, spec, draws=draws)
 
 
 def df_parallel_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
                      draws: DrawSet | None = None) -> RateEstimate:
-    """Decode-and-forward rate with an independent relay codeword.
-
-    The destination constraint becomes
-    (m-2)/(2m) * E[ log(1 + g_sd) + log(1 + g_rd) ]. Dominates the
-    repetition scheme sample by sample, since (1 + x)(1 + y) >= 1 + x + y.
-    """
-    return _df_rate(cfg, stats, spec, Scheme.DF_PARALLEL,
-                    lambda g_sd, g_rd: np.add(np.log1p(g_sd, out=g_sd), np.log1p(g_rd, out=g_rd),
-                                              out=g_sd), draws)
-
-
-RATE_FN = {
-    Scheme.AF: af_rate,
-    Scheme.DF_REPETITION: df_repetition_rate,
-    Scheme.DF_PARALLEL: df_parallel_rate,
-}
+    """``rate`` of a decode-and-forward config with an independent relay codeword: the
+    min of relay decoding and E[ log(1 + g_sd) + log(1 + g_rd) ]. Dominates the
+    repetition scheme sample by sample, since (1 + x)(1 + y) >= 1 + x + y."""
+    _require_scheme(cfg, Scheme.DF_PARALLEL)
+    return rate(cfg, stats, spec, draws=draws)

@@ -36,6 +36,33 @@ def test_traced_functions_exist():
         assert hasattr(fn, "__code__"), f"relayrates.{module}.{name}"
 
 
+def test_traced_functions_have_distinct_code():
+    # the tracer's CallCounter keys on __code__: two traced names that share a code
+    # object, such as closures from one factory, would make every --trace run incorrect
+    codes = [getattr(importlib.import_module(f"relayrates.{module}"), name).__code__
+             for module, name in _literal("tracer", "TRACED")]
+    assert len(set(codes)) == len(codes)
+
+
+@pytest.mark.parametrize("scheme, name", sorted(_literal("worker", "_RATE_FN").items()))
+def test_each_traced_rate_alias_is_rate_bit_for_bit(scheme, name):
+    # point times the aliases and the sweeps call rate, so both must give one value
+    cfg = relayrates.SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1,
+                                  scheme=relayrates.Scheme(scheme))
+    stats = relayrates.ChannelStats(1.0, 4.0, 4.0, 1.0)
+    mc = relayrates.ExpectationSpec(dims=3, samples=2000, seed=3)
+    cases = [(mc, None), (mc, relayrates.rates.DrawSet(mc))]
+    if scheme != "af":
+        cases.append((relayrates.ExpectationSpec(dims=2, method=relayrates.Method.GAUSS_LAGUERRE,
+                                                 nodes=24), None))
+    for spec, draws in cases:
+        alias = getattr(relayrates, name)(cfg, stats, spec, draws=draws)
+        direct = relayrates.rates.rate(cfg, stats, spec, draws=draws)
+        assert (alias.value.hex(), alias.std_error.hex()) == (direct.value.hex(),
+                                                              direct.std_error.hex())
+        assert alias == direct and (alias.parts is None) == (scheme == "af")
+
+
 def test_worker_names_are_bound():
     # verify's estimators are wrapped where cli binds them; point calls the
     # rate functions through the package
@@ -83,7 +110,7 @@ def test_rates_reach_the_gain_formula_through_its_traced_binding(gain_calls, sch
     cfg = relayrates.SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1,
                                   scheme=scheme)
     spec = relayrates.ExpectationSpec(dims=3, samples=200, seed=1)
-    relayrates.rates.RATE_FN[scheme](cfg, relayrates.ChannelStats(1.0, 4.0, 4.0, 1.0), spec)
+    relayrates.rates.rate(cfg, relayrates.ChannelStats(1.0, 4.0, 4.0, 1.0), spec)
     assert len(gain_calls) == 3
 
 

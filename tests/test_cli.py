@@ -25,7 +25,7 @@ from relayrates import (
     optimal_delta_r,
 )
 from relayrates.cli import THETA_CSV_HEADER, _expand, _write_csv, build_parser, main
-from relayrates.rates import RATE_FN
+from relayrates.rates import rate
 from test_preset_bytes import recorded_build
 
 RATE_ARGS = ["rate", "--scheme", "af", "--m", "50", "--ps", "60", "--pr", "40",
@@ -315,6 +315,18 @@ class TestSweepSigmaRd:
      "--ps needs"),
     (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--ps", "10",
       "--sigma-sd", "-1", "--sigma-sr", "1"], "sigma_sd must be"),
+    # the search flags are checked without --scheme too, each under its flag's name
+    (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--samples", "0"],
+     "samples must be"),
+    (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--seed", "-3"],
+     "seed must be"),
+    (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--delta-s", "9"],
+     "--delta-s must be"),
+    (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--delta-step", "7"],
+     "--delta-step must be"),
+    (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--ps", "10",
+      "--sigma-sd", "1", "--sigma-sr", "1", "--scheme", "af", "--delta-step", "7"],
+     "--delta-step must be"),
 ])
 def test_invalid_training_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -381,8 +393,8 @@ class TestOptimalTraining:
         assert fields["evaluations"] == "21"
         cfg = SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1,
                            delta_r=float(fields["delta_r_grid"]), scheme=scheme)
-        expected = RATE_FN[scheme](cfg, ChannelStats(1.0, 4.0, 1.0, 1.0),
-                                   ExpectationSpec(dims=3, samples=2000, seed=5))
+        expected = rate(cfg, ChannelStats(1.0, 4.0, 1.0, 1.0),
+                        ExpectationSpec(dims=3, samples=2000, seed=5))
         assert fields["rate_nats"] == repr(expected.value)
 
     def test_global_delta_is_a_removed_flag(self, capsys):

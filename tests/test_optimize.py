@@ -33,7 +33,7 @@ from relayrates import (
     theta_sweep,
 )
 from relayrates.optimize import _DELTA_GRID
-from relayrates.rates import RATE_FN, DrawSet, _finite_gain, exp_draws
+from relayrates.rates import DrawSet, _finite_gain, exp_draws, rate
 from test_contract import BLOCKS, log_uniform
 
 HIGH_SNR_LIMIT_M50 = (math.sqrt(96.0) - 2.0) / 46.0  # limit of the closed form as P grows
@@ -327,7 +327,7 @@ def _standalone(theta, delta_s, delta_r, scheme, spec):
     split = PowerSplit(total=100.0, theta=theta)
     cfg = SystemConfig(m=50, p_s=split.p_s, p_r=split.p_r, delta_s=delta_s,
                        delta_r=delta_r, scheme=scheme)
-    return RATE_FN[scheme](cfg, STATS, spec)
+    return rate(cfg, STATS, spec)
 
 
 class TestCommonDraws:

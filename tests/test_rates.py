@@ -1,6 +1,7 @@
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -33,7 +34,7 @@ from relayrates import (
     mmse_quality,
     snr_gain_g,
 )
-from relayrates.rates import MAX_NODES, MAX_SAMPLES, RATE_FN, DrawSet, stream
+from relayrates.rates import MAX_NODES, MAX_SAMPLES, DrawSet, rate, stream
 from test_contract import BLOCKS, FRACTIONS, log_uniform
 from test_preset_bytes import RECORDED_NUMPY
 
@@ -60,7 +61,7 @@ VALID_RATE_INPUTS = st.fixed_dictionaries({
 
 
 def _rate(scheme, spec, sd, sr, rd, n0, **cfg):
-    return RATE_FN[scheme](_cfg(scheme=scheme, **cfg), _stats(sd, sr, rd, n0), spec)
+    return rate(_cfg(scheme=scheme, **cfg), _stats(sd, sr, rd, n0), spec)
 
 
 class TestFCombiner:
@@ -304,11 +305,11 @@ class TestEngineOwnership:
         spec = ExpectationSpec(dims=3, samples=2_000, seed=19)
         draws = DrawSet(spec)
         before = [vector.tobytes() for vector in draws.w]
-        rate = RATE_FN[scheme](_cfg(scheme=scheme), _stats(), spec, draws=draws)
+        shared = rate(_cfg(scheme=scheme), _stats(), spec, draws=draws)
         assert [vector.tobytes() for vector in draws.w] == before
-        alone = RATE_FN[scheme](_cfg(scheme=scheme), _stats(), spec)
-        assert (rate.value, rate.std_error, rate.parts) == (alone.value, alone.std_error,
-                                                            alone.parts)
+        alone = rate(_cfg(scheme=scheme), _stats(), spec)
+        assert (shared.value, shared.std_error, shared.parts) == (alone.value, alone.std_error,
+                                                                  alone.parts)
 
 
 @pytest.mark.parametrize("scheme, limit", [(Scheme.AF, 3.3e6), (Scheme.DF_REPETITION, 1.7e6),
@@ -317,10 +318,10 @@ def test_peak_memory_of_a_standalone_call(scheme, limit):
     # 10^5 floats are 0.8 MB: AF holds its three scaled draws and one denominator,
     # DF its two combining draws, and no call copies a draw or its deviations
     spec = ExpectationSpec(dims=3, samples=100_000, seed=1)
-    RATE_FN[scheme](_cfg(scheme=scheme), _stats(), spec)
+    rate(_cfg(scheme=scheme), _stats(), spec)
     tracemalloc.start()
     try:
-        RATE_FN[scheme](_cfg(scheme=scheme), _stats(), spec)
+        rate(_cfg(scheme=scheme), _stats(), spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -346,10 +347,17 @@ class TestAfRate:
         c = af_rate(_cfg(), _stats(), ExpectationSpec(dims=3, samples=10_000, seed=43))
         assert a.value != c.value
 
-    def test_requires_matching_scheme_and_method(self):
+    @pytest.mark.parametrize("alias, own, other", [
+        (alias, own, other)
+        for alias, own in ((af_rate, Scheme.AF), (df_repetition_rate, Scheme.DF_REPETITION),
+                           (df_parallel_rate, Scheme.DF_PARALLEL))
+        for other in Scheme if other is not own], ids=lambda v: getattr(v, "value", None))
+    def test_requires_matching_scheme_and_method(self, alias, own, other):
+        # each alias of ``rate`` checks that the config is of its own scheme
         spec = ExpectationSpec(dims=3, samples=100, seed=0)
-        with pytest.raises(ValueError):
-            af_rate(_cfg(scheme=Scheme.DF_PARALLEL), _stats(), spec)
+        message = f"config scheme is {other}, expected {own}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            alias(_cfg(scheme=other), _stats(), spec)
         with pytest.raises(ValueError):
             af_rate(_cfg(), _stats(), ExpectationSpec(dims=2, samples=100, seed=0))
         with pytest.raises(ValueError):
