@@ -257,6 +257,10 @@ def cmd_optimal_training(args) -> int:
     spec = ExpectationSpec(dims=3, samples=args.samples, seed=args.seed)
     check_real("--delta-s", args.delta_s, hi=1.0)
     check_real("--delta-step", args.delta_step, hi=0.1, open_lo=True)
+    try:
+        deltas = closed_grid(0.0, 1.0, args.delta_step)
+    except ValueError as exc:  # the grid's own message names its step, not the flag
+        raise ValueError(f"--delta-step: {exc}") from None
     delta_r = optimal_delta_r(args.m, args.pr, args.sigma_rd, args.n0)
     lines = [f"delta_r_opt={delta_r!r} m={args.m} P_r={args.pr!r} "
              f"sigma_rd={args.sigma_rd!r} n0={args.n0!r}"]
@@ -272,16 +276,13 @@ def cmd_optimal_training(args) -> int:
             raise ValueError("--scheme needs --ps")
         scheme = Scheme(args.scheme)
         draws = DrawSet(spec)
-
-        def full_rate(delta: float) -> float:
-            cfg = SystemConfig(m=args.m, p_s=args.ps, p_r=args.pr,
-                               delta_s=args.delta_s, delta_r=delta, scheme=scheme)
-            return rate(cfg, stats, spec, draws=draws).value
-
-        found = grid_argmax(lambda g: [full_rate(float(d)) for d in g], 0.0, 1.0,
-                            args.delta_step)
-        lines.append(f"delta_r_grid={found.argument!r} rate_nats={found.rate.value!r} "
-                     f"evaluations={found.evaluations}")
+        curve = [(delta, rate(SystemConfig(m=args.m, p_s=args.ps, p_r=args.pr,
+                                           delta_s=args.delta_s, delta_r=delta, scheme=scheme),
+                              stats, spec, draws=draws))
+                 for delta in deltas]
+        best_delta, best_rate = max(curve, key=lambda point: point[-1].value)
+        lines.append(f"delta_r_grid={best_delta!r} rate_nats={best_rate.value!r} "
+                     f"evaluations={len(curve)}")
     print("\n".join(lines))  # only once every check has passed
     return 0
 

@@ -103,15 +103,6 @@ def suboptimal_delta_s(m: int, p_s: float, stats: ChannelStats) -> tuple[float, 
     )
 
 
-def _rate_at(theta: float, total_power: float, stats: ChannelStats, m: int,
-             delta_s: float, delta_r: float, scheme: Scheme,
-             spec: ExpectationSpec, draws: DrawSet | None) -> RateEstimate:
-    split = PowerSplit(total=total_power, theta=theta)
-    cfg = SystemConfig(m=m, p_s=split.p_s, p_r=split.p_r,
-                       delta_s=delta_s, delta_r=delta_r, scheme=scheme)
-    return rate(cfg, stats, spec, draws=draws)
-
-
 def theta_sweep(total_power: float, stats: ChannelStats, m: int, delta_s: float,
                 delta_r: float, scheme: Scheme, spec: ExpectationSpec,
                 grid_step: float = 0.01) -> list[tuple[float, RateEstimate]]:
@@ -122,20 +113,22 @@ def theta_sweep(total_power: float, stats: ChannelStats, m: int, delta_s: float,
     standalone rate call bit for bit.
     """
     check_real("grid_step", grid_step, hi=1.0, open_lo=True)
-    thetas = closed_grid(0.0, 1.0, grid_step)
+    splits = [PowerSplit(total_power, theta) for theta in closed_grid(0.0, 1.0, grid_step)]
     draws = DrawSet(spec)
-    return [(theta, _rate_at(theta, total_power, stats, m, delta_s, delta_r, scheme, spec, draws))
-            for theta in thetas]
+    return [(split.theta, rate(SystemConfig(m=m, p_s=split.p_s, p_r=split.p_r, delta_s=delta_s,
+                                            delta_r=delta_r, scheme=scheme),
+                               stats, spec, draws=draws))
+            for split in splits]
 
 
 def optimize_theta(total_power: float, stats: ChannelStats, m: int, delta_s: float,
                    delta_r: float, scheme: Scheme, spec: ExpectationSpec,
                    grid_step: float = 0.01) -> AllocationResult:
-    """Best power split on the theta grid (ties to the smaller theta)."""
+    """Best power split on the ascending theta grid; ``max`` gives ties to the smallest theta."""
     check_real("grid_step", grid_step, hi=0.1, open_lo=True)
     curve = theta_sweep(total_power, stats, m, delta_s, delta_r, scheme, spec,
                         grid_step=grid_step)
-    best_theta, best_rate = max(curve, key=lambda point: (point[1].value, -point[0]))
+    best_theta, best_rate = max(curve, key=lambda point: point[-1].value)
     return AllocationResult(argument=best_theta, rate=best_rate, evaluations=len(curve))
 
 
@@ -148,13 +141,13 @@ def joint_allocation(total_power: float, stats: ChannelStats, m: int, scheme: Sc
     at its share of the power, and the better of the two source candidates is
     kept after evaluating both rates (common random numbers, drawn once per
     call, make the comparison exact). Returns (theta, delta_s, delta_r, rate)
-    of the best triple; at the endpoints the powerless node's fraction is
-    pinned to 0.
+    of the best triple, ties going as in :func:`optimize_theta` (delta_s ascends
+    too); at the endpoints the powerless node's fraction is pinned to 0.
     """
     check_real("total_power", total_power, open_lo=True)
     thetas = closed_grid(0.0, 1.0, theta_step)
     draws = DrawSet(spec)
-    best: tuple[float, float, float, RateEstimate] | None = None
+    points = []
     for theta in thetas:
         split = PowerSplit(total=total_power, theta=theta)
         delta_r = optimal_delta_r(m, split.p_r, stats.sigma_rd, stats.n0) if split.p_r > 0.0 else 0.0
@@ -163,8 +156,7 @@ def joint_allocation(total_power: float, stats: ChannelStats, m: int, scheme: Sc
         else:
             candidates = {0.0}
         for delta_s in sorted(candidates):
-            estimate = _rate_at(theta, total_power, stats, m, delta_s, delta_r, scheme, spec, draws)
-            if best is None or estimate.value > best[3].value:
-                best = (theta, delta_s, delta_r, estimate)
-    assert best is not None
-    return best
+            cfg = SystemConfig(m=m, p_s=split.p_s, p_r=split.p_r, delta_s=delta_s,
+                               delta_r=delta_r, scheme=scheme)
+            points.append((theta, delta_s, delta_r, rate(cfg, stats, spec, draws=draws)))
+    return max(points, key=lambda point: point[-1].value)

@@ -379,7 +379,7 @@ def rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
     """
     mc = spec.method is Method.MONTE_CARLO
     if not mc and cfg.scheme is Scheme.AF:
-        raise ValueError("af_rate requires Monte Carlo (3-D expectation)")
+        raise ValueError("an AF rate needs Monte Carlo; Gauss-Laguerre covers only the DF schemes")
     dims = 3 if mc else 2  # all three magnitudes, or DF's two
     check_int(f"dims of a {spec.method.value} rate", spec.dims, dims, dims)
     gains = _gains(cfg, stats)

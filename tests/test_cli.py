@@ -22,6 +22,7 @@ from relayrates import (
     SystemConfig,
     af_rate,
     df_parallel_rate,
+    joint_allocation,
     optimal_delta_r,
 )
 from relayrates.cli import THETA_CSV_HEADER, _expand, _write_csv, build_parser, main
@@ -139,7 +140,8 @@ class TestRateCommand:
             # b*b overflows in the gain coefficient
             (["--p", "1e300", "--theta", "0.5", "--sigma", "1,4,4"], "p_s=5e+299"),
             # AF is a 3-D expectation, so Monte Carlo only; 186 is the most nodes
-            (["--ps", "60", "--pr", "40", "--sigma", "1,4,4", "--method", "gl"], "Monte Carlo"),
+            (["--ps", "60", "--pr", "40", "--sigma", "1,4,4", "--method", "gl"],
+             "an AF rate needs Monte Carlo; Gauss-Laguerre covers only the DF schemes"),
             (["--ps", "60", "--pr", "40", "--sigma", "1,4,4", "--nodes", "187"], "nodes"),
         ]
         for extra, named in cases:
@@ -327,6 +329,12 @@ class TestSweepSigmaRd:
     (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--ps", "10",
       "--sigma-sd", "1", "--sigma-sr", "1", "--scheme", "af", "--delta-step", "7"],
      "--delta-step must be"),
+    # a step whose grid has more points than closed_grid allows
+    (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--delta-step", "1e-9"],
+     "--delta-step: step 1e-09 asks for"),
+    (["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1", "--ps", "10",
+      "--sigma-sd", "1", "--sigma-sr", "1", "--scheme", "af", "--delta-step", "1e-9"],
+     "--delta-step: step 1e-09 asks for"),
 ])
 def test_invalid_training_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -367,18 +375,32 @@ class TestOptimalTraining:
         assert code == 0
         assert "delta_r_grid=" in out and "rate_nats=" in out
 
-    def test_global_delta_searches_at_sigma_rd(self, capsys):
+    @pytest.mark.parametrize("scheme, sigma_sd, sigma_sr, tie", [
+        (Scheme.AF, "1", "4", None),
+        # relay decoding binds at every delta_r, so all 21 rates are equal bit for bit:
+        # the search keeps the first, at the smallest delta_r
+        (Scheme.DF_REPETITION, "4", "1", (0.0, 1.885964027425504)),
+    ])
+    def test_global_delta_searches_at_sigma_rd(self, capsys, scheme, sigma_sd, sigma_sr, tie):
         code, out, _ = run(capsys, "optimal-training", "--m", "50", "--pr", "40",
-                           "--sigma-rd", "1", "--ps", "60", "--sigma-sd", "1",
-                           "--sigma-sr", "4", "--scheme", "af",
+                           "--sigma-rd", "1", "--ps", "60", "--sigma-sd", sigma_sd,
+                           "--sigma-sr", sigma_sr, "--scheme", scheme.value,
                            "--samples", "2000", "--delta-step", "0.05")
         assert code == 0
         fields = dict(token.split("=") for token in out.split() if "=" in token)
         cfg = SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1,
-                           delta_r=float(fields["delta_r_grid"]), scheme=Scheme.AF)
-        expected = af_rate(cfg, ChannelStats(1.0, 4.0, 1.0, 1.0),
-                           ExpectationSpec(dims=3, samples=2000, seed=0))
+                           delta_r=float(fields["delta_r_grid"]), scheme=scheme)
+        stats = ChannelStats(float(sigma_sd), float(sigma_sr), 1.0, 1.0)
+        spec = ExpectationSpec(dims=3, samples=2000, seed=0)
+        expected = rate(cfg, stats, spec)
         assert float(fields["rate_nats"]) == expected.value
+        if tie is not None:
+            # the last grid point ties too, so only the tie rule picks the first
+            assert rate(replace(cfg, delta_r=1.0), stats, spec).value == expected.value
+            # the value was recorded with numpy 2.4.6 on AVX-512, where np.log1p's last
+            # bit can differ from other builds
+            assert float(fields["delta_r_grid"]) == tie[0]
+            assert float(fields["rate_nats"]) == pytest.approx(tie[1], rel=1e-12)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_global_delta_draws_once_and_reports_a_standalone_rate(self, capsys, draw_calls,
@@ -396,6 +418,32 @@ class TestOptimalTraining:
         expected = rate(cfg, ChannelStats(1.0, 4.0, 1.0, 1.0),
                         ExpectationSpec(dims=3, samples=2000, seed=5))
         assert fields["rate_nats"] == repr(expected.value)
+
+    def test_searches_never_call_the_oracle(self, monkeypatch, capsys):
+        # the oracle only checks: verify calls it, and no allocation search does
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an allocation search called the oracle")
+
+        public = [name for name, value in vars(relayrates.oracle).items()
+                  if inspect.isfunction(value) and value.__module__ == "relayrates.oracle"
+                  and not name.startswith("_")]
+        for name in public:
+            for module in (relayrates.oracle, relayrates.cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        for scheme in Scheme:
+            code, out, _ = run(capsys, "optimal-training", "--m", "50", "--pr", "40",
+                               "--sigma-rd", "1", "--ps", "60", "--sigma-sd", "1",
+                               "--sigma-sr", "4", "--scheme", scheme.value,
+                               "--samples", "2000", "--delta-step", "0.05")
+            assert code == 0 and "delta_r_grid=" in out
+        theta, _, _, best = joint_allocation(100.0, ChannelStats(1.0, 4.0, 4.0, 1.0), 50,
+                                             Scheme.DF_PARALLEL,
+                                             ExpectationSpec(dims=3, samples=2000),
+                                             theta_step=0.1)
+        assert 0.0 <= theta <= 1.0 and best.value > 0.0
+        with pytest.raises(AssertionError, match="called the oracle"):
+            main(["verify", "--samples", "1000"])
 
     def test_global_delta_is_a_removed_flag(self, capsys):
         # --scheme alone turns the grid search on
