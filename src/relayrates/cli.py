@@ -221,6 +221,11 @@ def cmd_sweep_theta(args) -> int:
             triples = [triples[args.curve - 1]]
 
     spec = _expectation_spec(args)
+    check_real("--theta-step", args.theta_step, hi=1.0, open_lo=True)
+    try:
+        closed_grid(0.0, 1.0, args.theta_step)
+    except ValueError as exc:  # the grid's own message names its step, not the flag
+        raise ValueError(f"--theta-step: {exc}") from None
     outputs = []
     for triple in triples:
         stats = ChannelStats(*triple, n0=args.n0)

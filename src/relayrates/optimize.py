@@ -5,9 +5,10 @@ per-link SNR gain; its closed form is exact to a few ulps for every m < 2^53.
 The source fraction has none; two candidates (one per link) are evaluated.
 The source/relay power split theta is swept on a grid with common random
 numbers, free of sampling noise between grid points: a Monte Carlo sweep call
-draws its three |w|^2 vectors once into a ``rates.DrawSet`` bound to its spec
-(which states the memory), and every point rescales them into that set's
-scratch; a quadrature spec's set holds nothing. Each point's rate is
+reads its three |w|^2 vectors from a ``rates.DrawSet`` bound to its spec, which
+draws them once per process for the last spec drawn (its docstring states the
+memory), and every point rescales them into that set's own scratch; a
+quadrature spec's set holds nothing. Each point's rate is
 ``rates.rate`` of its config, whose scheme picks the parts.
 ``snr_gain_g_coefficient`` is ``rates``' gain formula, bound here too.
 """
@@ -108,8 +109,9 @@ def theta_sweep(total_power: float, stats: ChannelStats, m: int, delta_s: float,
                 grid_step: float = 0.01) -> list[tuple[float, RateEstimate]]:
     """Rate at every theta on the closed grid [0, 1], common random numbers.
 
-    The three |w|^2 vectors of ``spec`` are drawn once per call into its
-    ``DrawSet``; each point rescales them into the set's scratch and equals a
+    The three |w|^2 vectors of ``spec`` come from its ``DrawSet``, drawn only
+    if the last spec drawn in the process differs, and stay in the process after
+    the call; each point rescales them into the set's scratch and equals a
     standalone rate call bit for bit.
     """
     check_real("grid_step", grid_step, hi=1.0, open_lo=True)
@@ -139,8 +141,9 @@ def joint_allocation(total_power: float, stats: ChannelStats, m: int, scheme: Sc
 
     For each candidate theta: the relay fraction comes from the closed form
     at its share of the power, and the better of the two source candidates is
-    kept after evaluating both rates (common random numbers, drawn once per
-    call, make the comparison exact). Returns (theta, delta_s, delta_r, rate)
+    kept after evaluating both rates (common random numbers from the spec's
+    ``DrawSet``, which a sweep of the same spec has already drawn, make the
+    comparison exact). Returns (theta, delta_s, delta_r, rate)
     of the best triple, ties going as in :func:`optimize_theta` (delta_s ascends
     too); at the endpoints the powerless node's fraction is pinned to 0.
     """

@@ -14,13 +14,14 @@ Monte Carlo draws invert counter-based Philox uniforms keyed by
 (seed, role) through numpy's vectorized ``log1p``, one uniform per draw, so
 sample i is the same in every context and identical seeds give identical
 draws for every scheme and every power split (common random numbers). A
-sweep draws its three vectors once into a ``DrawSet`` bound to its spec;
-every grid point rescales them by its own gains into the set's scratch, where
-the integrands compute in place, bit for bit what a standalone call computes.
-A standalone call, or one handed the set of another spec, scales fresh draws
-in place and holds 4 arrays of samples floats (AF) or 2 (DF). Quadrature
-(weight: the exponential density) is one tensor Gauss-Laguerre rule over 1-D
-or 2-D expectations. The module also holds what the optimizer and the oracles
+sweep's ``DrawSet`` binds its spec to three read-only vectors, which the
+process keeps for the last Monte Carlo spec drawn, so the sweeps and joint
+allocations of one spec share one draw; every grid point rescales them by its
+own gains into the set's own scratch, where the integrands compute in place,
+bit for bit what a standalone call computes. A standalone call, or one handed
+the set of another spec, scales fresh draws in place and holds 4 arrays of
+samples floats (AF) or 2 (DF). Quadrature (weight: the exponential density)
+is one tensor Gauss-Laguerre rule over 1-D or 2-D expectations. The module also holds what the optimizer and the oracles
 share: ``rate``, ``closed_grid``, the search result and the gain formula.
 """
 
@@ -50,7 +51,7 @@ COMBINING = "combining"
 # numpy's Gauss-Laguerre rule overflows (NaN weights) from 187 nodes on.
 MAX_NODES = 186
 # A standalone Monte Carlo call holds 4 (AF) or 2 (DF) float64 arrays of this length;
-# DrawSet states what a sweep holds.
+# DrawSet states what a sweep holds at its peak and keeps after it returns.
 MAX_SAMPLES = 10**7
 MAX_GRID_POINTS = 1_000_000
 
@@ -190,23 +191,40 @@ def exp_draws(seed: int, tag: int, n: int) -> np.ndarray:
     return np.negative(u, out=u)
 
 
-class DrawSet:
-    """The three link streams of one Monte Carlo spec, drawn once for a whole sweep.
+# The last Monte Carlo spec drawn in this process and its three read-only vectors, which
+# every DrawSet of that spec shares: (spec, [w_sd, w_sr, w_rd]), or None before any draw.
+_last_draws: tuple[ExpectationSpec, list[np.ndarray]] | None = None
 
-    ``w[tag]`` is ``exp_draws(spec.seed, tag, spec.samples)``, read-only. A rate
-    call with this very ``spec`` rescales the vectors it needs into the four
-    ``scratch`` buffers, so a sweep faults its temporaries in once; a call with
-    any other spec draws afresh. The set saves work but never changes a value.
-    It holds 3 + 4 arrays of samples floats, which is all a sweep holds: 5.6 MB
-    at 10^5 samples, 560 MB at MAX_SAMPLES. A quadrature spec's set holds nothing.
+
+class DrawSet:
+    """The three link streams of one Monte Carlo spec, shared with its other sets.
+
+    ``w[tag]`` is ``exp_draws(spec.seed, tag, spec.samples)``, read-only. The
+    vectors of the last spec drawn stay in the process, so every set of that
+    spec, in any sweep or joint allocation, shares them; a set of a new spec
+    first drops them, then draws its own. A rate call with this very ``spec``
+    rescales the vectors it needs into the set's own four ``scratch`` buffers,
+    so a sweep faults its temporaries in once; a call with any other spec draws
+    afresh. The set saves work but never changes a value. A sweep holds at most
+    3 + 4 arrays of samples floats, 5.6 MB at 10^5 samples and 560 MB at
+    MAX_SAMPLES; after it returns the process keeps the 3 vectors, 2.4 MB and
+    240 MB. A quadrature spec's set holds nothing and leaves the kept vectors be.
     """
 
     def __init__(self, spec: ExpectationSpec):
+        global _last_draws
         self.spec = spec
         mc = spec.method is Method.MONTE_CARLO
-        self.w = [exp_draws(spec.seed, tag, spec.samples) for tag in (W_SD, W_SR, W_RD) if mc]
-        for vector in self.w:
-            vector.flags.writeable = False
+        last = _last_draws
+        if mc and (last is None or last[0] != spec):
+            _last_draws = last = None  # drops the old vectors before the new ones exist
+            w = [exp_draws(spec.seed, tag, spec.samples) for tag in (W_SD, W_SR, W_RD)]
+            for vector in w:
+                vector.flags.writeable = False
+            _last_draws = last = (spec, w)
+        # views of a read-only base cannot be made writeable again, so no set can
+        # change the vectors every other set of its spec reads
+        self.w = [vector.view() for vector in last[1]] if mc else []
         self.scratch = [np.empty(spec.samples) for _ in range(4 if mc else 0)]
 
 

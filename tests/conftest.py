@@ -20,7 +20,10 @@ def draw_calls(monkeypatch):
 
     Returns the list of ``(args, result)`` pairs, one per call, so a test
     can check both how often the streams were drawn and what was handed out.
+    The test starts with no draws kept in the process, so it counts every
+    stream its own calls need.
     """
+    monkeypatch.setattr(rates, "_last_draws", None)
     original = rates.exp_draws
     calls = []
 

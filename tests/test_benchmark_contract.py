@@ -119,3 +119,58 @@ def test_verify_reaches_the_gain_formula_through_its_traced_binding(gain_calls, 
     relayrates.cli.main(["verify", "--samples", "2000"])
     capsys.readouterr()
     assert len(gain_calls) == 15 + 20
+
+
+def _worker_sweep_spec() -> dict:
+    """The keywords of the one ``ExpectationSpec`` that ``run_sweep`` hands ``joint_allocation``."""
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    run_sweep = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "run_sweep")
+    calls = [node for node in ast.walk(run_sweep) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "ExpectationSpec"]
+    assert len(calls) == 1 and not calls[0].args
+    return {keyword.arg: keyword.value for keyword in calls[0].keywords}
+
+
+def test_sweep_workload_curves_and_joint_allocations_share_one_spec(monkeypatch, tmp_path,
+                                                                    capsys):
+    # the sweep workload's joint allocations reuse the CLI sweeps' draws only if
+    # both build one spec: dims and samples as literals, the seed the CLI is given
+    keywords = _worker_sweep_spec()
+    assert set(keywords) == {"dims", "samples", "seed"}
+    assert isinstance(keywords["seed"], ast.Name) and keywords["seed"].id == "seed"
+    worker_spec = relayrates.ExpectationSpec(dims=ast.literal_eval(keywords["dims"]),
+                                             samples=ast.literal_eval(keywords["samples"]),
+                                             seed=11)
+    specs = []
+
+    def recorded(spec):
+        specs.append(spec)
+        return relayrates.rates.DrawSet(spec)
+
+    monkeypatch.setattr(relayrates.optimize, "DrawSet", recorded)
+    presets = sorted({name for by_scheme in _literal("inputs", "SWEEP_PRESETS").values()
+                      for name in by_scheme.values()})
+    for preset in presets:
+        code = relayrates.cli.main(["sweep-theta", "--preset", preset, "--curve", "1",
+                                    "--seed", "11", "--out", str(tmp_path / f"{preset}.csv")])
+        assert code == 0
+    capsys.readouterr()
+    assert specs == [worker_spec] * len(presets)
+
+
+def test_draw_sets_reach_the_draws_through_their_traced_binding(monkeypatch):
+    # the tracer swaps relayrates.rates.exp_draws, so a set must look it up when it draws
+    calls = []
+    original = relayrates.rates.exp_draws
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(relayrates.rates, "_last_draws", None)
+    monkeypatch.setattr(relayrates.rates, "exp_draws", counted)
+    spec = relayrates.ExpectationSpec(dims=3, samples=200, seed=1)
+    relayrates.rates.DrawSet(spec)
+    relayrates.rates.DrawSet(spec)
+    assert sorted(calls) == [(1, tag, 200) for tag in range(3)]

@@ -209,6 +209,13 @@ class TestSweepTheta:
             assert (tmp_path / f"fig2_c{i}.csv").exists()
         assert "note: preset fig2" in stdout
 
+    def test_preset_curves_share_one_draw(self, tmp_path, capsys, draw_calls):
+        # four curves of one spec draw the three streams once, not once per curve
+        code, _, _ = run(capsys, "sweep-theta", "--preset", "fig2",
+                         "--out", str(tmp_path / "fig2.csv"))
+        assert code == 0
+        assert sorted(args for args, _ in draw_calls) == [(0, tag, 100_000) for tag in range(3)]
+
     def test_preset_single_curve(self, tmp_path, capsys):
         out = tmp_path / "fig5.csv"
         code, _, _ = run(capsys, "sweep-theta", "--preset", "fig5", "--curve", "3",
@@ -256,15 +263,15 @@ class TestSweepTheta:
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "relayrates":
                 monkeypatch.setattr(module, "round", no_points, raising=False)
-        for argv in (["sweep-theta", "--scheme", "af", "--p", "100", "--m", "50",
-                      "--sigma", "1,4,4", "--delta-s", "0.1", "--delta-r", "0.1",
-                      "--theta-step", "1e-9"],
-                     ["sweep-sigma-rd", "--m", "50", "--pr", "10", "--lo", "0.5",
-                      "--hi", "1.5", "--step", "1e-9"]):
+        for argv, flag in ((["sweep-theta", "--scheme", "af", "--p", "100", "--m", "50",
+                             "--sigma", "1,4,4", "--delta-s", "0.1", "--delta-r", "0.1",
+                             "--theta-step", "1e-9"], "--theta-step: "),
+                           (["sweep-sigma-rd", "--m", "50", "--pr", "10", "--lo", "0.5",
+                             "--hi", "1.5", "--step", "1e-9"], "")):
             out = tmp_path / "fine.csv"
             code, _, err = run(capsys, *argv, "--out", str(out))
             assert code == 1
-            assert err.startswith("error: step 1e-09") and err.count("\n") == 1
+            assert err.startswith(f"error: {flag}step 1e-09") and err.count("\n") == 1
             assert not out.exists()
 
 
@@ -339,6 +346,21 @@ class TestSweepSigmaRd:
 def test_invalid_training_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, named):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and named in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("step, named", [
+    ("0", "--theta-step must be"),
+    ("2", "--theta-step must be"),
+    ("1e-9", "--theta-step: step 1e-09 asks for"),
+])
+def test_invalid_theta_step_is_one_error_line(tmp_path, capsys, monkeypatch, step, named):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "sweep-theta", "--scheme", "af", "--p", "100", "--m", "50",
+                         "--sigma", "1,4,4", "--delta-s", "0.1", "--delta-r", "0.1",
+                         "--theta-step", step, "--out", "x.csv")
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and named in err
     assert list(tmp_path.iterdir()) == []

@@ -405,7 +405,7 @@ class TestCommonDraws:
     def test_sweeps_leave_the_shared_draws_untouched(self, draw_calls):
         theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF, MC_FULL, grid_step=0.1)
         joint_allocation(100.0, STATS, 50, Scheme.AF, MC_FULL, theta_step=0.1)
-        assert len(draw_calls) == 6
+        assert len(draw_calls) == 3  # the joint allocation reads the sweep's draws
         for args, shared in draw_calls:
             assert not shared.flags.writeable
             assert (hashlib.sha256(shared.tobytes()).hexdigest()
@@ -427,6 +427,69 @@ class TestCommonDraws:
         finally:
             tracemalloc.stop()
         assert peak <= 5.8e6
+
+
+class TestDrawMemo:
+    """The last Monte Carlo spec's draws stay in the process for its next sets."""
+
+    def test_sweeps_and_a_joint_allocation_of_one_spec_draw_once(self, draw_calls):
+        curves = {scheme: theta_sweep(100.0, STATS, 50, 0.1, 0.1, scheme, MC, grid_step=0.1)
+                  for scheme in (Scheme.AF, Scheme.DF_PARALLEL)}
+        theta, d_s, d_r, best = joint_allocation(100.0, STATS, 50, Scheme.DF_REPETITION, MC,
+                                                 theta_step=0.1)
+        assert sorted(args for args, _ in draw_calls) == STREAMS
+        for scheme, curve in curves.items():
+            for point, estimate in curve:
+                assert _bits(estimate) == _bits(_standalone(point, 0.1, 0.1, scheme, MC))
+        assert _bits(best) == _bits(_standalone(theta, d_s, d_r, Scheme.DF_REPETITION, MC))
+
+    def test_a_spec_drawn_again_after_another_gives_the_same_bytes(self, draw_calls):
+        other = ExpectationSpec(dims=3, samples=3_000, seed=59)
+        first = theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF, MC, grid_step=0.1)
+        theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF, other, grid_step=0.1)
+        again = theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF, MC, grid_step=0.1)
+        assert len(draw_calls) == 9
+        assert [args for args, _ in draw_calls[6:]] == [args for args, _ in draw_calls[:3]]
+        assert sorted(args for args, _ in draw_calls[6:]) == STREAMS
+        assert ([w.tobytes() for _, w in draw_calls[6:]]
+                == [w.tobytes() for _, w in draw_calls[:3]])
+        assert [(t, _bits(r)) for t, r in again] == [(t, _bits(r)) for t, r in first]
+
+    def test_a_new_spec_keeps_the_sweep_peak(self, monkeypatch):
+        # the first spec's kept vectors go when the second is drawn: 3 draws and
+        # 4 scratch buffers of 10^5 floats at the peak, 5.6 MB; kept, 8.0 MB
+        monkeypatch.setattr(relayrates.rates, "_last_draws", None)
+        first = ExpectationSpec(dims=3, samples=100_000, seed=61)
+        second = ExpectationSpec(dims=3, samples=100_000, seed=62)
+        tracemalloc.start()
+        try:
+            theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF, first, grid_step=0.1)
+            tracemalloc.reset_peak()
+            theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF, second, grid_step=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (3 + 4) * 100_000 * 8 + 0.2e6
+
+    def test_kept_draws_stay_read_only(self):
+        theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF, MC, grid_step=0.1)
+        one, two = DrawSet(MC), DrawSet(MC)
+        for mine, theirs, args in zip(one.w, two.w, STREAMS):
+            assert np.shares_memory(mine, theirs)
+            assert mine.tobytes() == exp_draws(*args).tobytes()
+            with pytest.raises(ValueError):
+                mine[0] = 1.0
+            with pytest.raises(ValueError):
+                mine.flags.writeable = True
+        assert all(not np.shares_memory(a, b) for a in one.scratch for b in two.scratch)
+
+    def test_quadrature_spec_draws_nothing_and_keeps_the_draws(self, draw_calls):
+        theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF, MC, grid_step=0.1)
+        kept = relayrates.rates._last_draws
+        theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.DF_PARALLEL, GL, grid_step=0.1)
+        assert relayrates.rates._last_draws is kept
+        theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF, MC, grid_step=0.1)
+        assert sorted(args for args, _ in draw_calls) == STREAMS
 
 
 FAULT_PROBE = """
