@@ -39,13 +39,13 @@ from .optimize import (
     theta_sweep,
 )
 from .rates import (
-    DrawSet,
     ExpectationSpec,
     Method,
     RateEstimate,
     af_rate,
     closed_grid,
     rate,
+    rate_curve,
 )
 
 LN2 = math.log(2.0)
@@ -280,11 +280,9 @@ def cmd_optimal_training(args) -> int:
         if args.ps is None:
             raise ValueError("--scheme needs --ps")
         scheme = Scheme(args.scheme)
-        draws = DrawSet(spec)
-        curve = [(delta, rate(SystemConfig(m=args.m, p_s=args.ps, p_r=args.pr,
-                                           delta_s=args.delta_s, delta_r=delta, scheme=scheme),
-                              stats, spec, draws=draws))
-                 for delta in deltas]
+        cfgs = (SystemConfig(m=args.m, p_s=args.ps, p_r=args.pr, delta_s=args.delta_s,
+                             delta_r=delta, scheme=scheme) for delta in deltas)
+        curve = list(zip(deltas, rate_curve(cfgs, stats, spec)))
         best_delta, best_rate = max(curve, key=lambda point: point[-1].value)
         lines.append(f"delta_r_grid={best_delta!r} rate_nats={best_rate.value!r} "
                      f"evaluations={len(curve)}")

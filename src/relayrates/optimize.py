@@ -4,12 +4,13 @@ The relay's optimal training fraction maximizes the |w|^2 coefficient of the
 per-link SNR gain; its closed form is exact to a few ulps for every m < 2^53.
 The source fraction has none; two candidates (one per link) are evaluated.
 The source/relay power split theta is swept on a grid with common random
-numbers, free of sampling noise between grid points: a Monte Carlo sweep call
-reads its three |w|^2 vectors from a ``rates.DrawSet`` bound to its spec, which
-draws them once per process for the last spec drawn (its docstring states the
-memory), and every point rescales them into that set's own scratch; a
-quadrature spec's set holds nothing. Each point's rate is
-``rates.rate`` of its config, whose scheme picks the parts.
+numbers, free of sampling noise between grid points: every search hands its
+configs to ``rates.rate_curve``, which reads the three |w|^2 vectors of its
+spec from the process's last draw (drawn once per spec), checks each config
+and computes its gains on the caller's thread, and rescales the vectors per
+point on k threads, one scratch set each (3 + 4k arrays of samples floats;
+``rates.DrawSet`` states the memory). Each point's rate is ``rates.rate`` of
+its config bit for bit, whose scheme picks the parts.
 ``snr_gain_g_coefficient`` is ``rates``' gain formula, bound here too.
 """
 
@@ -23,12 +24,11 @@ import numpy as np
 from .channel import ChannelStats, Scheme, SystemConfig, check_int, check_real
 from .rates import (
     AllocationResult,
-    DrawSet,
     ExpectationSpec,
     RateEstimate,
     _grid_array,
     closed_grid,
-    rate,
+    rate_curve,
     snr_gain_g_coefficient,
 )
 
@@ -109,18 +109,17 @@ def theta_sweep(total_power: float, stats: ChannelStats, m: int, delta_s: float,
                 grid_step: float = 0.01) -> list[tuple[float, RateEstimate]]:
     """Rate at every theta on the closed grid [0, 1], common random numbers.
 
-    The three |w|^2 vectors of ``spec`` come from its ``DrawSet``, drawn only
-    if the last spec drawn in the process differs, and stay in the process after
-    the call; each point rescales them into the set's scratch and equals a
-    standalone rate call bit for bit.
+    ``rates.rate_curve`` evaluates the points over the three |w|^2 vectors of
+    ``spec``, drawn only if the last spec drawn in the process differs, which
+    stay in the process after the call; each point equals a standalone rate
+    call bit for bit.
     """
     check_real("grid_step", grid_step, hi=1.0, open_lo=True)
     splits = [PowerSplit(total_power, theta) for theta in closed_grid(0.0, 1.0, grid_step)]
-    draws = DrawSet(spec)
-    return [(split.theta, rate(SystemConfig(m=m, p_s=split.p_s, p_r=split.p_r, delta_s=delta_s,
-                                            delta_r=delta_r, scheme=scheme),
-                               stats, spec, draws=draws))
-            for split in splits]
+    cfgs = (SystemConfig(m=m, p_s=split.p_s, p_r=split.p_r, delta_s=delta_s, delta_r=delta_r,
+                         scheme=scheme) for split in splits)
+    return [(split.theta, estimate)
+            for split, estimate in zip(splits, rate_curve(cfgs, stats, spec))]
 
 
 def optimize_theta(total_power: float, stats: ChannelStats, m: int, delta_s: float,
@@ -141,25 +140,32 @@ def joint_allocation(total_power: float, stats: ChannelStats, m: int, scheme: Sc
 
     For each candidate theta: the relay fraction comes from the closed form
     at its share of the power, and the better of the two source candidates is
-    kept after evaluating both rates (common random numbers from the spec's
-    ``DrawSet``, which a sweep of the same spec has already drawn, make the
+    kept after evaluating both rates (common random numbers from one draw of
+    the spec, which a sweep of the same spec has already made, make the
     comparison exact). Returns (theta, delta_s, delta_r, rate)
     of the best triple, ties going as in :func:`optimize_theta` (delta_s ascends
-    too); at the endpoints the powerless node's fraction is pinned to 0.
+    too); at the endpoints the powerless node's fraction is pinned to 0. A
+    closed form that fails stops the grid there: the points before it are
+    evaluated, and the first failure in grid order is raised.
     """
     check_real("total_power", total_power, open_lo=True)
     thetas = closed_grid(0.0, 1.0, theta_step)
-    draws = DrawSet(spec)
-    points = []
-    for theta in thetas:
-        split = PowerSplit(total=total_power, theta=theta)
-        delta_r = optimal_delta_r(m, split.p_r, stats.sigma_rd, stats.n0) if split.p_r > 0.0 else 0.0
-        if split.p_s > 0.0:
-            candidates = set(suboptimal_delta_s(m, split.p_s, stats))
-        else:
-            candidates = {0.0}
-        for delta_s in sorted(candidates):
-            cfg = SystemConfig(m=m, p_s=split.p_s, p_r=split.p_r, delta_s=delta_s,
-                               delta_r=delta_r, scheme=scheme)
-            points.append((theta, delta_s, delta_r, rate(cfg, stats, spec, draws=draws)))
-    return max(points, key=lambda point: point[-1].value)
+    points = []  # (theta, delta_s, delta_r) of each config handed to rate_curve
+
+    def cfgs():
+        for theta in thetas:
+            split = PowerSplit(total=total_power, theta=theta)
+            delta_r = (optimal_delta_r(m, split.p_r, stats.sigma_rd, stats.n0)
+                       if split.p_r > 0.0 else 0.0)
+            if split.p_s > 0.0:
+                candidates = set(suboptimal_delta_s(m, split.p_s, stats))
+            else:
+                candidates = {0.0}
+            for delta_s in sorted(candidates):
+                points.append((theta, delta_s, delta_r))
+                yield SystemConfig(m=m, p_s=split.p_s, p_r=split.p_r, delta_s=delta_s,
+                                   delta_r=delta_r, scheme=scheme)
+
+    estimates = rate_curve(cfgs(), stats, spec)
+    return max(((*point, estimate) for point, estimate in zip(points, estimates)),
+               key=lambda point: point[-1].value)

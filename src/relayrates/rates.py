@@ -13,25 +13,32 @@ its own combining part and the relay decoding part log(1 + g_sr).
 Monte Carlo draws invert counter-based Philox uniforms keyed by
 (seed, role) through numpy's vectorized ``log1p``, one uniform per draw, so
 sample i is the same in every context and identical seeds give identical
-draws for every scheme and every power split (common random numbers). A
-sweep's ``DrawSet`` binds its spec to three read-only vectors, which the
-process keeps for the last Monte Carlo spec drawn, so the sweeps and joint
-allocations of one spec share one draw; every grid point rescales them by its
-own gains into the set's own scratch, where the integrands compute in place,
-bit for bit what a standalone call computes. A standalone call, or one handed
-the set of another spec, scales fresh draws in place and holds 4 arrays of
-samples floats (AF) or 2 (DF). Quadrature (weight: the exponential density)
-is one tensor Gauss-Laguerre rule over 1-D or 2-D expectations. The module also holds what the optimizer and the oracles
-share: ``rate``, ``closed_grid``, the search result and the gain formula.
+draws for every scheme and every power split (common random numbers).
+``rate_curve`` evaluates a grid search's configs over one spec: the caller's
+thread checks each config, computes its gains and makes the ``DrawSet``s,
+whose three read-only vectors the process keeps for the last Monte Carlo spec
+drawn, so the sweeps and joint allocations of one spec share one draw. Only
+the points' kernels run on k threads, each rescaling the shared vectors into
+its own set's scratch, where the integrands compute in place, bit for bit
+what a standalone call computes; a sweep holds 3 + 4k arrays of samples
+floats (``DrawSet`` states k and the bound). A standalone ``rate`` scales
+fresh draws in place and holds 4 arrays of samples floats (AF) or 2 (DF).
+Quadrature (weight: the exponential density) is one tensor Gauss-Laguerre
+rule over 1-D or 2-D expectations. The module also holds what the optimizer
+and the oracles share: ``rate``, ``closed_grid``, the search result and the
+gain formula.
 """
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,7 +58,8 @@ COMBINING = "combining"
 # numpy's Gauss-Laguerre rule overflows (NaN weights) from 187 nodes on.
 MAX_NODES = 186
 # A standalone Monte Carlo call holds 4 (AF) or 2 (DF) float64 arrays of this length;
-# DrawSet states what a sweep holds at its peak and keeps after it returns.
+# a sweep holds 3 + 4k for k = _worker_count(...) <= MAX_SAMPLES // samples threads,
+# so never more than 3 + 4 arrays of MAX_SAMPLES (DrawSet states it).
 MAX_SAMPLES = 10**7
 MAX_GRID_POINTS = 1_000_000
 
@@ -202,13 +210,16 @@ class DrawSet:
     ``w[tag]`` is ``exp_draws(spec.seed, tag, spec.samples)``, read-only. The
     vectors of the last spec drawn stay in the process, so every set of that
     spec, in any sweep or joint allocation, shares them; a set of a new spec
-    first drops them, then draws its own. A rate call with this very ``spec``
-    rescales the vectors it needs into the set's own four ``scratch`` buffers,
-    so a sweep faults its temporaries in once; a call with any other spec draws
-    afresh. The set saves work but never changes a value. A sweep holds at most
-    3 + 4 arrays of samples floats, 5.6 MB at 10^5 samples and 560 MB at
-    MAX_SAMPLES; after it returns the process keeps the 3 vectors, 2.4 MB and
-    240 MB. A quadrature spec's set holds nothing and leaves the kept vectors be.
+    first drops them, then draws its own. A kernel handed the set rescales the
+    vectors it needs into the set's own four ``scratch`` buffers, so a sweep
+    faults its temporaries in once. The set saves work but never changes a
+    value. ``rate_curve`` makes one set per kernel thread, k =
+    ``_worker_count(spec, points)`` <= MAX_SAMPLES // samples, so a sweep holds
+    at most 3 + 4k arrays of samples floats: 5.6 MB at 10^5 samples on one
+    thread, 8.8 MB on two, and never more than the 560 MB of 3 + 4 arrays at
+    MAX_SAMPLES. After it returns the process keeps the 3 vectors, 2.4 MB and
+    240 MB. A quadrature spec's set holds nothing and leaves the kept vectors
+    be. Only this module makes sets.
     """
 
     def __init__(self, spec: ExpectationSpec):
@@ -245,15 +256,15 @@ def _expectation(integrand: Callable[..., np.ndarray], coefficients: Sequence[fl
 
     The X_i are independent exponential(1) variables: Monte Carlo takes
     X_i from stream ``tags[i]`` and scales it by c_i, into the scratch of a
-    ``draws`` set bound to this very spec, else in place into a fresh draw.
+    ``draws`` set of this spec, else in place into a fresh draw.
+    It is the one step of a rate that ``rate_curve`` runs on its threads.
     Gauss-Laguerre (k <= 2) evaluates the tensor rule. The integrand may
     overwrite its arrays, and the engine writes only into arrays it made.
     The mean must be finite and within the samples.
     """
     if spec.method is Method.MONTE_CARLO:
         n = spec.samples
-        shared = draws is not None and draws.spec == spec
-        args = [np.multiply(c, draws.w[tag], out=draws.scratch[i]) if shared
+        args = [np.multiply(c, draws.w[tag], out=draws.scratch[i]) if draws is not None
                 else np.multiply(c, fresh := exp_draws(spec.seed, tag, n), out=fresh)
                 for i, (c, tag) in enumerate(zip(coefficients, tags))]
         values = np.asarray(integrand(*args), dtype=float)
@@ -384,33 +395,118 @@ PARTS = {
 }
 
 
-def rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
-         draws: DrawSet | None = None) -> RateEstimate:
-    """Worst-case rate of ``cfg.scheme``: the least of its ``PARTS``.
-
-    Each part is (m-2)/(2m) * E[ integrand ] over the exponential draws of the
-    links it reads, scaled by their gains. A Monte Carlo spec has dims 3, a
-    quadrature spec dims 2, so AF, whose one part reads all three links, is
-    Monte Carlo only (the matrix-form oracle is its cross-check). A DF rate
-    carries its parts; AF carries none. ``draws``, a ``DrawSet`` of ``spec``,
-    lets a sweep skip the draw and reuse its scratch; the value is the same.
-    """
+def _terms(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec) -> list:
+    """Checks ``cfg`` under ``spec`` and returns its parts as (name, integrand,
+    gains, link tags): all of a rate that runs before its kernels."""
     mc = spec.method is Method.MONTE_CARLO
     if not mc and cfg.scheme is Scheme.AF:
         raise ValueError("an AF rate needs Monte Carlo; Gauss-Laguerre covers only the DF schemes")
     dims = 3 if mc else 2  # all three magnitudes, or DF's two
     check_int(f"dims of a {spec.method.value} rate", spec.dims, dims, dims)
     gains = _gains(cfg, stats)
-    spare = draws.scratch[3] if mc and draws is not None and draws.spec == spec else None
+    return [(name, integrand, [gains[tag] for tag in links], links)
+            for name, links, integrand in PARTS[cfg.scheme]]
+
+
+def _kernels(terms: list, spec: ExpectationSpec, draws: DrawSet | None) -> list:
+    """(mean, std_error) of each part, rescaled into ``draws``' scratch if it has any."""
+    spare = draws.scratch[3] if draws is not None and draws.scratch else None
+    return [_expectation(partial(integrand, spare), gains, links, spec, draws)
+            for _, integrand, gains, links in terms]
+
+
+def _estimate(cfg: SystemConfig, spec: ExpectationSpec, terms: list,
+              moments: list) -> RateEstimate:
+    """The least part's estimate, carrying every part when there are two."""
     prefactor = (cfg.m - 2.0) / (2.0 * cfg.m)  # two pilot symbols plus half-duplex halving
-    parts = {}
-    for name, links, integrand in PARTS[cfg.scheme]:
-        mean, std_error = _expectation(partial(integrand, spare), [gains[tag] for tag in links],
-                                       links, spec, draws)
-        parts[name] = RateEstimate(prefactor * mean, prefactor * std_error,
-                                   spec.samples if mc else 0, spec.method)
+    samples = spec.samples if spec.method is Method.MONTE_CARLO else 0
+    parts = {name: RateEstimate(prefactor * mean, prefactor * std_error, samples, spec.method)
+             for (name, *_), (mean, std_error) in zip(terms, moments)}
     least = min(parts.values(), key=lambda r: r.value)
     return replace(least, parts=parts) if len(parts) > 1 else least
+
+
+def rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec) -> RateEstimate:
+    """Worst-case rate of ``cfg.scheme``: the least of its ``PARTS``.
+
+    Each part is (m-2)/(2m) * E[ integrand ] over the exponential draws of the
+    links it reads, scaled by their gains. A Monte Carlo spec has dims 3, a
+    quadrature spec dims 2, so AF, whose one part reads all three links, is
+    Monte Carlo only (the matrix-form oracle is its cross-check). A DF rate
+    carries its parts; AF carries none. The call draws afresh; ``rate_curve``
+    gives the same value for each of many configs from one shared draw.
+    """
+    terms = _terms(cfg, stats, spec)
+    return _estimate(cfg, spec, terms, _kernels(terms, spec, None))
+
+
+def _worker_count(spec: ExpectationSpec, points: int) -> int:
+    """Kernel threads of a ``rate_curve`` of ``points`` configs: min(usable CPUs,
+    points, MAX_SAMPLES // samples), so that their scratch never exceeds one
+    thread's at MAX_SAMPLES; 1 for quadrature."""
+    if spec.method is not Method.MONTE_CARLO:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, points, MAX_SAMPLES // spec.samples))
+
+
+def rate_curve(cfgs: Iterable[SystemConfig], stats: ChannelStats,
+               spec: ExpectationSpec) -> list[RateEstimate]:
+    """``rate`` of each config, in order, over one shared draw of ``spec``.
+
+    The caller's thread reads ``cfgs``, checks each config and computes its
+    gains, then makes one ``DrawSet`` per kernel thread. The points' kernels
+    are dealt round-robin to k = ``_worker_count`` threads, the caller's among
+    them, each in a copy of the caller's context (so its ``np.errstate``) and
+    with its own set's scratch; k = 1 starts no thread. Every estimate equals
+    its standalone ``rate`` bit for bit, and a failure raises what a loop of
+    ``rate`` calls raises: that of the first failing point, where an error
+    from iterating ``cfgs`` counts as the point it would have yielded.
+    """
+    points, failure = [], None
+    try:
+        for cfg in cfgs:
+            points.append((cfg, _terms(cfg, stats, spec)))
+    except Exception as exc:  # raised after the points before it are evaluated
+        failure = exc
+    workers = _worker_count(spec, len(points))
+    sets = [DrawSet(spec) for _ in range(workers)] if points else []
+    moments, errors = [None] * len(points), {}
+    last, failed = len(points) - 1, threading.Lock()  # no point after a failed one is needed
+
+    def work(worker: int) -> None:
+        nonlocal last
+        for i in range(worker, len(points), workers):
+            if i > last:
+                return
+            try:
+                moments[i] = _kernels(points[i][1], spec, sets[worker])
+            except Exception as exc:  # a RuntimeWarning the caller's filters turned into one too
+                with failed:
+                    errors[i] = exc
+                    last = min(last, i)
+                return
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, worker))
+               for worker in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    except BaseException:  # an interrupted caller stops its threads at their next point
+        last = -1
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    estimates = []
+    for i, (cfg, terms) in enumerate(points):
+        if i in errors:
+            raise errors[i]
+        estimates.append(_estimate(cfg, spec, terms, moments[i]))
+    if failure is not None:
+        raise failure
+    return estimates
 
 
 def _require_scheme(cfg: SystemConfig, scheme: Scheme) -> None:
@@ -418,25 +514,24 @@ def _require_scheme(cfg: SystemConfig, scheme: Scheme) -> None:
         raise ValueError(f"config scheme is {cfg.scheme}, expected {scheme}")
 
 
-def af_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
-            draws: DrawSet | None = None) -> RateEstimate:
+def af_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec) -> RateEstimate:
     """``rate`` of an amplify-and-forward config: E[ log(1 + g_sd + f(g_sr, g_rd)) ]."""
     _require_scheme(cfg, Scheme.AF)
-    return rate(cfg, stats, spec, draws=draws)
+    return rate(cfg, stats, spec)
 
 
-def df_repetition_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
-                       draws: DrawSet | None = None) -> RateEstimate:
+def df_repetition_rate(cfg: SystemConfig, stats: ChannelStats,
+                       spec: ExpectationSpec) -> RateEstimate:
     """``rate`` of a decode-and-forward config whose relay repeats the source codeword:
     the min of relay decoding and the combining rate E[ log(1 + g_sd + g_rd) ]."""
     _require_scheme(cfg, Scheme.DF_REPETITION)
-    return rate(cfg, stats, spec, draws=draws)
+    return rate(cfg, stats, spec)
 
 
-def df_parallel_rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec, *,
-                     draws: DrawSet | None = None) -> RateEstimate:
+def df_parallel_rate(cfg: SystemConfig, stats: ChannelStats,
+                     spec: ExpectationSpec) -> RateEstimate:
     """``rate`` of a decode-and-forward config with an independent relay codeword: the
     min of relay decoding and E[ log(1 + g_sd) + log(1 + g_rd) ]. Dominates the
     repetition scheme sample by sample, since (1 + x)(1 + y) >= 1 + x + y."""
     _require_scheme(cfg, Scheme.DF_PARALLEL)
-    return rate(cfg, stats, spec, draws=draws)
+    return rate(cfg, stats, spec)

@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import pytest
 
@@ -49,3 +50,17 @@ def gain_calls(monkeypatch):
 
     _rebind(monkeypatch, original, counted)
     return calls
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs, in order."""
+    original = threading.Thread.start
+    started = []
+
+    def start(thread):
+        started.append(thread)
+        original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started

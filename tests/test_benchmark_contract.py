@@ -8,12 +8,17 @@ imported: importing its worker runs its imports and starts its clock.
 
 import ast
 import importlib
+import os
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import _rebind
 
 import relayrates
 import relayrates.cli
+import relayrates.optimize
 import relayrates.oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -50,17 +55,18 @@ def test_each_traced_rate_alias_is_rate_bit_for_bit(scheme, name):
     cfg = relayrates.SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1,
                                   scheme=relayrates.Scheme(scheme))
     stats = relayrates.ChannelStats(1.0, 4.0, 4.0, 1.0)
-    mc = relayrates.ExpectationSpec(dims=3, samples=2000, seed=3)
-    cases = [(mc, None), (mc, relayrates.rates.DrawSet(mc))]
+    specs = [relayrates.ExpectationSpec(dims=3, samples=2000, seed=3)]
     if scheme != "af":
-        cases.append((relayrates.ExpectationSpec(dims=2, method=relayrates.Method.GAUSS_LAGUERRE,
-                                                 nodes=24), None))
-    for spec, draws in cases:
-        alias = getattr(relayrates, name)(cfg, stats, spec, draws=draws)
-        direct = relayrates.rates.rate(cfg, stats, spec, draws=draws)
-        assert (alias.value.hex(), alias.std_error.hex()) == (direct.value.hex(),
-                                                              direct.std_error.hex())
-        assert alias == direct and (alias.parts is None) == (scheme == "af")
+        specs.append(relayrates.ExpectationSpec(dims=2, method=relayrates.Method.GAUSS_LAGUERRE,
+                                                nodes=24))
+    for spec in specs:
+        alias = getattr(relayrates, name)(cfg, stats, spec)
+        # standalone, and from a curve's shared draw on each of its kernel threads
+        for direct in (relayrates.rates.rate(cfg, stats, spec),
+                       *relayrates.rates.rate_curve([cfg] * 4, stats, spec)):
+            assert (alias.value.hex(), alias.std_error.hex()) == (direct.value.hex(),
+                                                                  direct.std_error.hex())
+            assert alias == direct and (alias.parts is None) == (scheme == "af")
 
 
 def test_worker_names_are_bound():
@@ -143,12 +149,13 @@ def test_sweep_workload_curves_and_joint_allocations_share_one_spec(monkeypatch,
                                              samples=ast.literal_eval(keywords["samples"]),
                                              seed=11)
     specs = []
+    original = relayrates.rates.DrawSet
 
     def recorded(spec):
         specs.append(spec)
-        return relayrates.rates.DrawSet(spec)
+        return original(spec)
 
-    monkeypatch.setattr(relayrates.optimize, "DrawSet", recorded)
+    monkeypatch.setattr(relayrates.rates, "DrawSet", recorded)
     presets = sorted({name for by_scheme in _literal("inputs", "SWEEP_PRESETS").values()
                       for name in by_scheme.values()})
     for preset in presets:
@@ -156,7 +163,9 @@ def test_sweep_workload_curves_and_joint_allocations_share_one_spec(monkeypatch,
                                     "--seed", "11", "--out", str(tmp_path / f"{preset}.csv")])
         assert code == 0
     capsys.readouterr()
-    assert specs == [worker_spec] * len(presets)
+    # one set per kernel thread of each 101-point curve
+    sets = relayrates.rates._worker_count(worker_spec, 101)
+    assert specs == [worker_spec] * (sets * len(presets))
 
 
 def test_draw_sets_reach_the_draws_through_their_traced_binding(monkeypatch):
@@ -174,3 +183,49 @@ def test_draw_sets_reach_the_draws_through_their_traced_binding(monkeypatch):
     relayrates.rates.DrawSet(spec)
     relayrates.rates.DrawSet(spec)
     assert sorted(calls) == [(1, tag, 200) for tag in range(3)]
+
+
+def test_traced_names_run_only_on_the_callers_thread(monkeypatch, tmp_path, capsys):
+    # perfbench's Tracer keeps one call stack and its CallCounter hooks only the
+    # thread that enters it (sys.setprofile): a traced name that ran on a kernel
+    # thread would be counted by its wrapper but not by the hook. Bindings
+    # wrapped here count calls from every thread; a main-thread profile hook
+    # must see as many.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(relayrates.rates, "_last_draws", None)
+    originals = {"snr_gain_g_coefficient": relayrates.rates.snr_gain_g_coefficient,
+                 "exp_draws": relayrates.rates.exp_draws,
+                 "optimal_delta_r": relayrates.optimize.optimal_delta_r}
+    bound, profiled = [], Counter()  # list.append is atomic across threads
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            bound.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name, original in originals.items():
+        _rebind(monkeypatch, original, counted(name, original))
+    codes = {original.__code__: name for name, original in originals.items()}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            profiled[codes[frame.f_code]] += 1
+
+    preset = relayrates.cli.PRESETS["fig2"]
+    stats = relayrates.ChannelStats(*preset.sigma_triples[0], n0=preset.params["n0"])
+    spec = relayrates.ExpectationSpec(dims=3, samples=100_000, seed=0)
+    sys.setprofile(profile)
+    try:
+        code = relayrates.cli.main(["sweep-theta", "--preset", "fig2", "--curve", "1",
+                                    "--out", str(tmp_path / "fig2.csv")])
+        relayrates.joint_allocation(preset.params["p"], stats, preset.params["m"],
+                                    relayrates.Scheme.AF, spec, theta_step=0.1)
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert code == 0
+    bound = Counter(bound)
+    assert bound["exp_draws"] == 3 and bound["optimal_delta_r"] > 0
+    assert bound["snr_gain_g_coefficient"] > 0
+    assert profiled == bound

@@ -166,8 +166,8 @@ class TestSweepTheta:
         assert thetas == ["0.0", "0.5", "1.0"]
 
     # --bits rescales the printed line of ``rate``, and a sweep's CSV is in nats;
-    # a sweep runs one serial path, so there is no --workers to set; flags are
-    # read from a file with @FILE, not --config
+    # a sweep's kernel threads follow the usable CPUs, so there is no --workers
+    # to set; flags are read from a file with @FILE, not --config
     @pytest.mark.parametrize("flag", [["--bits"], ["--workers", "2"], ["--config", "x"]])
     def test_removed_flag_is_usage_error(self, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
@@ -253,6 +253,16 @@ class TestSweepTheta:
             assert code == 1 and not target.exists()
             if named is not None:
                 assert err.startswith("error:") and err.count("\n") == 1 and named in err
+
+    def test_a_gain_that_overflows_names_its_point(self, tmp_path, capsys):
+        # the caller's thread checks each point's gains before any kernel runs
+        target = tmp_path / "out.csv"
+        code, out, err = run(capsys, "sweep-theta", "--scheme", "af", "--p", "1e305",
+                             "--m", "50", "--sigma", "1,4,4", "--delta-s", "0.1",
+                             "--delta-r", "0.1", "--samples", "1000", "--out", str(target))
+        assert (code, out) == (1, "") and not target.exists()
+        assert err == ("error: rd link gain is not finite at delta_r=0.1, p_r=1e+305, "
+                       "sigma_rd=4.0, n0=1.0, m=50\n")
 
     def test_grid_budget_fails_before_any_point_is_built(self, tmp_path, capsys, monkeypatch):
         # a 1e-9 step asks for 10^9 + 1 grid points; the budget check must

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import relayrates
+import relayrates.cli
 from relayrates import (
     W_RD,
     W_SD,
@@ -33,7 +34,7 @@ from relayrates import (
     theta_sweep,
 )
 from relayrates.optimize import _DELTA_GRID
-from relayrates.rates import DrawSet, _finite_gain, exp_draws, rate
+from relayrates.rates import DrawSet, _finite_gain, _worker_count, exp_draws, rate, rate_curve
 from test_contract import BLOCKS, log_uniform
 
 HIGH_SNR_LIMIT_M50 = (math.sqrt(96.0) - 2.0) / 46.0  # limit of the closed form as P grows
@@ -395,11 +396,11 @@ class TestCommonDraws:
                 vector *= 2.0
 
     def test_draws_of_another_spec_change_nothing(self, draw_calls):
-        other = DrawSet(ExpectationSpec(dims=3, samples=2_000, seed=54))
+        DrawSet(ExpectationSpec(dims=3, samples=2_000, seed=54))  # the process keeps seed 54
         cfg = SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1, scheme=Scheme.AF)
-        with_other = af_rate(cfg, STATS, MC, draws=other)
-        assert _bits(with_other) == _bits(af_rate(cfg, STATS, MC))
-        # the set lacks seed 53, so that call drew its streams itself
+        with_other = rate_curve([cfg, cfg], STATS, MC)
+        assert [_bits(e) for e in with_other] == [_bits(af_rate(cfg, STATS, MC))] * 2
+        # the kept draws lack seed 53, so the curve drew its streams itself
         assert sorted(args for args, _ in draw_calls[3:6]) == STREAMS
 
     def test_sweeps_leave_the_shared_draws_untouched(self, draw_calls):
@@ -411,10 +412,15 @@ class TestCommonDraws:
             assert (hashlib.sha256(shared.tobytes()).hexdigest()
                     == hashlib.sha256(exp_draws(*args).tobytes()).hexdigest())
 
+    @pytest.mark.parametrize("cpus", [None, 1], ids=["usable_cpus", "one_cpu"])
     @pytest.mark.parametrize("sweep", ["theta_sweep", "joint_allocation"])
-    def test_peak_memory_of_a_warm_sweep(self, sweep):
-        # 3 shared draws and 4 scratch buffers of 10^5 floats are 5.6 MB; the
-        # reduction writes its deviations into the scratch, not a new array
+    def test_peak_memory_of_a_warm_sweep(self, monkeypatch, thread_starts, sweep, cpus):
+        # each of k kernel threads rescales into its own 4 scratch buffers of 10^5
+        # floats, 3.2 MB; the reduction writes its deviations into the scratch, not
+        # a new array. On one CPU no thread starts and the serial bound holds.
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
         run = {"theta_sweep": lambda: theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF,
                                                   MC_FULL, grid_step=0.1),
                "joint_allocation": lambda: joint_allocation(100.0, STATS, 50, Scheme.AF,
@@ -426,7 +432,88 @@ class TestCommonDraws:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5.8e6
+        workers = _worker_count(MC_FULL, 11)
+        assert peak <= 4 * workers * 100_000 * 8 + 0.2e6
+        if cpus == 1:
+            assert peak <= 5.8e6 and thread_starts == []
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_threaded_points_equal_standalone_calls(monkeypatch, capsys, scheme):
+    # every point of each grid search at 10^5 samples, its kernels dealt to 4
+    # threads that switch every microsecond, equals its standalone rate call
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    curves = []
+    original = relayrates.rates.rate_curve
+
+    def recorded(cfgs, stats, spec):
+        cfgs = list(cfgs)
+        curves.append((cfgs, stats, spec, original(cfgs, stats, spec)))
+        return curves[-1][-1]
+
+    for module in (relayrates.optimize, relayrates.cli):
+        monkeypatch.setattr(module, "rate_curve", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        theta_sweep(100.0, STATS, 50, 0.1, 0.1, scheme, MC_FULL, grid_step=0.05)
+        joint_allocation(100.0, STATS, 50, scheme, MC_FULL, theta_step=0.05)
+        code = relayrates.cli.main(["optimal-training", "--m", "50", "--pr", "40",
+                                    "--sigma-rd", "4", "--ps", "60", "--sigma-sd", "1",
+                                    "--sigma-sr", "4", "--scheme", scheme.value, "--seed", "53",
+                                    "--delta-step", "0.05"])
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    assert code == 0 and [len(cfgs) for cfgs, *_ in curves] == [21, 41, 21]
+    for cfgs, stats, spec, estimates in curves:
+        assert spec == MC_FULL
+        for cfg, estimate in zip(cfgs, estimates, strict=True):
+            assert _bits(estimate) == _bits(rate(cfg, stats, spec))
+
+
+@pytest.mark.parametrize("kernel, raised", [(None, "closed form"), (0, "kernel 0"),
+                                            (1, "kernel 1"), (2, "kernel 2")])
+def test_joint_allocation_stops_at_a_failing_closed_form(monkeypatch, kernel, raised):
+    # theta 0 yields one config and theta 0.1 two, after 1 + 3 closed-form calls
+    # (delta_r, then each source candidate); the fifth, theta 0.2's delta_r, fails.
+    # The three configs before it are evaluated, on three threads, and the first
+    # failure in grid order is raised.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    rates = relayrates.rates
+    closed_forms, order, evaluated = [], {}, []
+    original_delta = relayrates.optimize.optimal_delta_r
+    original_terms, original_kernels = rates._terms, rates._kernels
+
+    def delta(*args, **kwargs):
+        closed_forms.append(args)
+        if len(closed_forms) == 5:
+            raise ValueError("closed form failed")
+        return original_delta(*args, **kwargs)
+
+    def terms(*args):
+        # the caller's thread checks the points in grid order
+        result = original_terms(*args)
+        order[id(result)] = len(order)
+        return result
+
+    def kernels(terms, spec, draws):
+        point = order[id(terms)]
+        evaluated.append(point)
+        if point == kernel:
+            raise ArithmeticError(f"kernel {point}")
+        return original_kernels(terms, spec, draws)
+
+    monkeypatch.setattr(relayrates.optimize, "optimal_delta_r", delta)
+    monkeypatch.setattr(rates, "_terms", terms)
+    monkeypatch.setattr(rates, "_kernels", kernels)
+    with pytest.raises((ValueError, ArithmeticError), match=raised):
+        joint_allocation(100.0, STATS, 50, Scheme.AF, MC, theta_step=0.1)
+    assert len(closed_forms) == 5 and len(order) == 3
+    if kernel is None:
+        assert sorted(evaluated) == [0, 1, 2]
+    else:  # each point is on its own thread, so the others may run too
+        assert set(range(kernel + 1)) <= set(evaluated) <= {0, 1, 2}
 
 
 class TestDrawMemo:
@@ -455,9 +542,14 @@ class TestDrawMemo:
                 == [w.tobytes() for _, w in draw_calls[:3]])
         assert [(t, _bits(r)) for t, r in again] == [(t, _bits(r)) for t, r in first]
 
-    def test_a_new_spec_keeps_the_sweep_peak(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [None, 1], ids=["usable_cpus", "one_cpu"])
+    def test_a_new_spec_keeps_the_sweep_peak(self, monkeypatch, thread_starts, cpus):
         # the first spec's kept vectors go when the second is drawn: 3 draws and
-        # 4 scratch buffers of 10^5 floats at the peak, 5.6 MB; kept, 8.0 MB
+        # 4 scratch buffers of 10^5 floats per kernel thread at the peak; kept,
+        # 2.4 MB more
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
         monkeypatch.setattr(relayrates.rates, "_last_draws", None)
         first = ExpectationSpec(dims=3, samples=100_000, seed=61)
         second = ExpectationSpec(dims=3, samples=100_000, seed=62)
@@ -469,7 +561,10 @@ class TestDrawMemo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (3 + 4) * 100_000 * 8 + 0.2e6
+        workers = _worker_count(second, 11)
+        assert peak <= (3 + 4 * workers) * 100_000 * 8 + 0.2e6
+        if cpus == 1:
+            assert peak <= (3 + 4) * 100_000 * 8 + 0.2e6 and thread_starts == []
 
     def test_kept_draws_stay_read_only(self):
         theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF, MC, grid_step=0.1)

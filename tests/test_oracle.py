@@ -390,11 +390,20 @@ def test_oracle_uses_no_linalg():
     assert "linalg" not in names | _imported_modules("oracle")
 
 
-def test_no_module_imports_threads():
-    # theta_sweep has one serial path, so a sweep holds one draw set's memory
-    # ("futures" is concurrent.futures)
+def test_only_rate_curve_starts_threads():
+    # rate_curve is the one place threads start, so a sweep's memory is its
+    # 3 + 4k arrays (tests/test_optimize.py bounds them); no module imports
+    # concurrent.futures ("futures"), which the CLI would pay for at start-up
+    importers = {path.stem for path in Path(relayrates.__file__).parent.glob("*.py")
+                 if "threading" in _imported_modules(path.stem)}
+    assert importers == {"rates"}
     for path in Path(relayrates.__file__).parent.glob("*.py"):
-        assert not {"threading", "futures"} & _imported_modules(path.stem), path.name
+        assert "futures" not in _imported_modules(path.stem), path.name
+    starters = {function.name for function in ast.walk(_parse("rates"))
+                if isinstance(function, ast.FunctionDef)
+                for node in ast.walk(function)
+                if isinstance(node, ast.Attribute) and node.attr == "Thread"}
+    assert starters == {"rate_curve"}
 
 
 # SHA-256 per AF_ORACLE_CONFIGS entry over the float.hex of af_rate_logdet

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,8 @@ from relayrates import (
     mmse_quality,
     snr_gain_g,
 )
-from relayrates.rates import MAX_NODES, MAX_SAMPLES, DrawSet, rate, stream
+from relayrates.rates import (MAX_NODES, MAX_SAMPLES, DrawSet, _worker_count, rate,
+                              rate_curve, stream)
 from test_contract import BLOCKS, FRACTIONS, log_uniform
 from test_preset_bytes import RECORDED_NUMPY
 
@@ -303,13 +305,14 @@ class TestEngineOwnership:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_a_draw_set_is_never_written(self, scheme):
         spec = ExpectationSpec(dims=3, samples=2_000, seed=19)
-        draws = DrawSet(spec)
+        draws = DrawSet(spec)  # the vectors every set of the curve below shares
         before = [vector.tobytes() for vector in draws.w]
-        shared = rate(_cfg(scheme=scheme), _stats(), spec, draws=draws)
+        curve = rate_curve([_cfg(scheme=scheme)] * 3, _stats(), spec)
         assert [vector.tobytes() for vector in draws.w] == before
         alone = rate(_cfg(scheme=scheme), _stats(), spec)
-        assert (shared.value, shared.std_error, shared.parts) == (alone.value, alone.std_error,
-                                                                  alone.parts)
+        for shared in curve:
+            assert (shared.value, shared.std_error, shared.parts) == (
+                alone.value, alone.std_error, alone.parts)
 
 
 @pytest.mark.parametrize("scheme, limit", [(Scheme.AF, 3.3e6), (Scheme.DF_REPETITION, 1.7e6),
@@ -326,6 +329,133 @@ def test_peak_memory_of_a_standalone_call(scheme, limit):
     finally:
         tracemalloc.stop()
     assert peak <= limit
+
+
+def _cpus(monkeypatch, count):
+    # rate_curve sizes its threads by the CPUs the process may run on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+CURVE_SPEC = ExpectationSpec(dims=3, samples=2_000, seed=7)
+
+
+def _powers(count):
+    """AF configs told apart by their source power, so each has its own gains."""
+    return [_cfg(p_s=10.0 + i) for i in range(count)]
+
+
+def _fail_kernels(monkeypatch, cfgs, stats, bad):
+    """Make the kernels of the points at the indices ``bad`` raise an error naming the point."""
+    index = {tuple(relayrates.rates._gains(cfg, stats)): i for i, cfg in enumerate(cfgs)}
+    original = relayrates.rates._kernels
+
+    def kernels(terms, spec, draws):
+        i = index.get(tuple(terms[0][2]))
+        if i in bad:
+            raise ArithmeticError(f"kernel {i}")
+        return original(terms, spec, draws)
+
+    monkeypatch.setattr(relayrates.rates, "_kernels", kernels)
+
+
+def _raised(call):
+    with pytest.raises(Exception) as excinfo:
+        call()
+    return type(excinfo.value), str(excinfo.value)
+
+
+class TestRateCurve:
+    """``rate_curve`` runs the points' kernels on k threads, and gives what a loop of
+    ``rate`` calls gives: the same estimates, or the same first error."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    @pytest.mark.parametrize("samples", [1, 100_000, MAX_SAMPLES // 2 + 1, MAX_SAMPLES])
+    @pytest.mark.parametrize("points", [0, 1, 101])
+    def test_worker_count(self, monkeypatch, cpus, samples, points):
+        _cpus(monkeypatch, cpus)
+        workers = _worker_count(ExpectationSpec(dims=3, samples=samples), points)
+        assert workers == max(1, min(cpus, points, MAX_SAMPLES // samples))
+        assert workers * samples <= MAX_SAMPLES  # the scratch stays within one serial sweep's
+        gl = ExpectationSpec(dims=2, method=Method.GAUSS_LAGUERRE)
+        assert _worker_count(gl, points) == 1
+
+    @pytest.mark.parametrize("cpu_count, workers", [(3, 3), (None, 1)])
+    def test_worker_count_without_affinity(self, monkeypatch, cpu_count, workers):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert _worker_count(CURVE_SPEC, 101) == workers
+
+    def test_one_worker_starts_no_thread(self, monkeypatch, thread_starts):
+        _cpus(monkeypatch, 1)
+        rate_curve(_powers(5), _stats(), CURVE_SPEC)
+        gl = ExpectationSpec(dims=2, method=Method.GAUSS_LAGUERRE, nodes=16)
+        _cpus(monkeypatch, 4)
+        rate_curve([_cfg(scheme=Scheme.DF_PARALLEL)] * 5, _stats(), gl)
+        assert thread_starts == []
+        rate_curve(_powers(3), _stats(), CURVE_SPEC)  # the caller is the third worker
+        assert len(thread_starts) == 2 and not any(t.is_alive() for t in thread_starts)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_points_equal_standalone_calls_on_every_thread(self, monkeypatch, scheme):
+        _cpus(monkeypatch, 4)
+        cfgs = [_cfg(scheme=scheme, p_s=10.0 + i) for i in range(9)]
+        curve = rate_curve(iter(cfgs), _stats(), CURVE_SPEC)
+        assert curve == [rate(cfg, _stats(), CURVE_SPEC) for cfg in cfgs]
+
+    # with 4 workers, point i runs on thread i % 4, the caller's when i % 4 == 0
+    @pytest.mark.parametrize("bad", [{2, 5}, {5, 2, 7}, {3, 6}, {7}, {0, 1}, {4, 1}])
+    def test_first_failing_kernel_in_grid_order(self, monkeypatch, bad):
+        _cpus(monkeypatch, 4)
+        cfgs, stats = _powers(8), _stats()
+        _fail_kernels(monkeypatch, cfgs, stats, bad)
+        with pytest.raises(ArithmeticError, match=f"^kernel {min(bad)}$"):
+            rate_curve(cfgs, stats, CURVE_SPEC)
+
+    @pytest.mark.parametrize("source", ["config", "iterator"])
+    @pytest.mark.parametrize("kernel, caller", [(5, 2), (1, 4), (3, 6), (6, 0), (2, 3)])
+    def test_a_failure_raises_what_a_loop_of_rate_calls_raises(self, monkeypatch, source,
+                                                               kernel, caller):
+        # a point fails on a kernel thread, and another on the caller's thread: in
+        # its gain check, or as an error from the iterator of configs
+        _cpus(monkeypatch, 4)
+        cfgs, stats = _powers(8), _stats()
+        _fail_kernels(monkeypatch, cfgs, stats, {kernel})
+        if source == "config":
+            cfgs[caller] = _cfg(p_s=1e305)  # b*b overflows in the sd gain
+
+        def configs():
+            for i, cfg in enumerate(cfgs):
+                if source == "iterator" and i == caller:
+                    raise ValueError(f"no config {i}")
+                yield cfg
+
+        serial = _raised(lambda: [rate(cfg, stats, CURVE_SPEC) for cfg in configs()])
+        assert _raised(lambda: rate_curve(configs(), stats, CURVE_SPEC)) == serial
+        assert ("kernel" in serial[1]) == (kernel < caller)
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    def test_threads_run_under_the_callers_errstate(self, monkeypatch, index):
+        # 10^-100 powers give gains near 10^-200, whose products underflow
+        _cpus(monkeypatch, 4)
+        cfgs, stats = _powers(4), _stats()
+        cfgs[index] = _cfg(p_s=1e-100, p_r=1e-100)
+        with np.errstate(under="raise"):
+            serial = _raised(lambda: [rate(cfg, stats, CURVE_SPEC) for cfg in cfgs])
+            assert _raised(lambda: rate_curve(cfgs, stats, CURVE_SPEC)) == serial
+        assert serial == (FloatingPointError, "underflow encountered in multiply")
+        with np.errstate(under="ignore"):
+            assert rate_curve(cfgs, stats, CURVE_SPEC)[index] == rate(cfgs[index], stats,
+                                                                      CURVE_SPEC)
+
+    @pytest.mark.parametrize("index", [1, 3])
+    def test_a_warning_made_an_error_propagates_from_a_thread(self, monkeypatch, index):
+        _cpus(monkeypatch, 4)
+        cfgs, stats = _powers(4), _stats()
+        cfgs[index] = _cfg(p_s=1e-100, p_r=1e-100)
+        with warnings.catch_warnings(), np.errstate(under="warn"):
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="underflow"):
+                rate_curve(cfgs, stats, CURVE_SPEC)
 
 
 class TestAfRate:
