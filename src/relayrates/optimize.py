@@ -8,9 +8,10 @@ numbers, free of sampling noise between grid points: every search hands its
 configs to ``rates.rate_curve``, which reads the three |w|^2 vectors of its
 spec from the process's last draw (drawn once per spec), checks each config
 and computes its gains on the caller's thread, and rescales the vectors per
-point on k threads, one scratch set each (3 + 4k arrays of samples floats;
-``rates.DrawSet`` states the memory). Each point's rate is ``rates.rate`` of
-its config bit for bit, whose scheme picks the parts.
+point on k <= ``rates.MAX_WORKERS`` threads, one scratch set each (3 + 4k
+arrays of samples floats; ``rates.DrawSet`` states the memory). Each
+point's rate is ``rates.rate`` of its config bit for bit, whose scheme picks
+the parts.
 ``snr_gain_g_coefficient`` is ``rates``' gain formula, bound here too.
 """
 

@@ -18,11 +18,12 @@ draws for every scheme and every power split (common random numbers).
 thread checks each config, computes its gains and makes the ``DrawSet``s,
 whose three read-only vectors the process keeps for the last Monte Carlo spec
 drawn, so the sweeps and joint allocations of one spec share one draw. Only
-the points' kernels run on k threads, each rescaling the shared vectors into
-its own set's scratch, where the integrands compute in place, bit for bit
-what a standalone call computes; a sweep holds 3 + 4k arrays of samples
-floats (``DrawSet`` states k and the bound). A standalone ``rate`` scales
-fresh draws in place and holds 4 arrays of samples floats (AF) or 2 (DF).
+the points' kernels run on k <= MAX_WORKERS threads, each rescaling the
+shared vectors into its own set's scratch, where the integrands compute in
+place, bit for bit what a standalone call computes; a sweep holds 3 + 4k
+arrays of samples floats (``DrawSet`` states k and the bound). A standalone
+``rate`` scales fresh draws in place and holds 4 arrays of samples floats
+(AF) or 2 (DF).
 Quadrature (weight: the exponential density) is one tensor Gauss-Laguerre
 rule over 1-D or 2-D expectations. The module also holds what the optimizer
 and the oracles share: ``rate``, ``closed_grid``, the search result and the
@@ -62,6 +63,10 @@ MAX_NODES = 186
 # so never more than 3 + 4 arrays of MAX_SAMPLES (DrawSet states it).
 MAX_SAMPLES = 10**7
 MAX_GRID_POINTS = 1_000_000
+# A sweep's kernels run on at most MAX_WORKERS threads, and on one below THREADED_SAMPLES,
+# where a point's Python work outweighs its kernels (_worker_count has the timings).
+MAX_WORKERS = 2
+THREADED_SAMPLES = 30_000
 
 
 class Method(enum.Enum):
@@ -214,12 +219,12 @@ class DrawSet:
     vectors it needs into the set's own four ``scratch`` buffers, so a sweep
     faults its temporaries in once. The set saves work but never changes a
     value. ``rate_curve`` makes one set per kernel thread, k =
-    ``_worker_count(spec, points)`` <= MAX_SAMPLES // samples, so a sweep holds
-    at most 3 + 4k arrays of samples floats: 5.6 MB at 10^5 samples on one
-    thread, 8.8 MB on two, and never more than the 560 MB of 3 + 4 arrays at
-    MAX_SAMPLES. After it returns the process keeps the 3 vectors, 2.4 MB and
-    240 MB. A quadrature spec's set holds nothing and leaves the kept vectors
-    be. Only this module makes sets.
+    ``_worker_count(spec, points)`` <= MAX_WORKERS and <= MAX_SAMPLES // samples,
+    so a sweep holds at most 3 + 4k arrays of samples floats: 5.6 MB at 10^5
+    samples on one thread and 8.8 MB on two, whatever the host's CPU count, and
+    never more than the 560 MB of 3 + 4 arrays at MAX_SAMPLES. After it returns
+    the process keeps the 3 vectors, 2.4 MB and 240 MB. A quadrature spec's set
+    holds nothing and leaves the kept vectors be. Only this module makes sets.
     """
 
     def __init__(self, spec: ExpectationSpec):
@@ -441,13 +446,18 @@ def rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec) -> RateE
 
 
 def _worker_count(spec: ExpectationSpec, points: int) -> int:
-    """Kernel threads of a ``rate_curve`` of ``points`` configs: min(usable CPUs,
-    points, MAX_SAMPLES // samples), so that their scratch never exceeds one
-    thread's at MAX_SAMPLES; 1 for quadrature."""
-    if spec.method is not Method.MONTE_CARLO:
+    """Kernel threads of a ``rate_curve`` of ``points`` configs: min(usable CPUs, points,
+    MAX_WORKERS, MAX_SAMPLES // samples) from THREADED_SAMPLES samples on, else 1, and 1
+    for quadrature. On 2 vCPUs, two threads ran AF and DF curves in 0.8-0.9 of one
+    thread's time at 3*10^4 samples and 0.5-0.8 of it from 10^5 to 5*10^6, but took
+    1.2-1.6 times it at 3*10^3 and 10^4; a third thread gained nothing. More threads are
+    unmeasured, so the cap keeps a sweep within 3 + 8 arrays on any host. Usable CPUs
+    are the affinity mask, not a cgroup quota: on one CPU two threads took 1.02-1.04
+    times one's time."""
+    if spec.method is not Method.MONTE_CARLO or spec.samples < THREADED_SAMPLES:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, points, MAX_SAMPLES // spec.samples))
+    return max(1, min(cpus or 1, points, MAX_WORKERS, MAX_SAMPLES // spec.samples))
 
 
 def rate_curve(cfgs: Iterable[SystemConfig], stats: ChannelStats,
@@ -458,10 +468,12 @@ def rate_curve(cfgs: Iterable[SystemConfig], stats: ChannelStats,
     gains, then makes one ``DrawSet`` per kernel thread. The points' kernels
     are dealt round-robin to k = ``_worker_count`` threads, the caller's among
     them, each in a copy of the caller's context (so its ``np.errstate``) and
-    with its own set's scratch; k = 1 starts no thread. Every estimate equals
-    its standalone ``rate`` bit for bit, and a failure raises what a loop of
-    ``rate`` calls raises: that of the first failing point, where an error
-    from iterating ``cfgs`` counts as the point it would have yielded.
+    with its own set's scratch; k = 1 starts no thread, and no thread outlives
+    the call: an interrupted caller stops them at their next point. Every
+    estimate equals its standalone ``rate`` bit for bit, and a failure raises
+    what a loop of ``rate`` calls raises: that of the first failing point,
+    where an error from iterating ``cfgs`` counts as the point it would have
+    yielded.
     """
     points, failure = [], None
     try:
@@ -493,12 +505,14 @@ def rate_curve(cfgs: Iterable[SystemConfig], stats: ChannelStats,
         thread.start()
     try:
         work(0)
-    except BaseException:  # an interrupted caller stops its threads at their next point
-        last = -1
-        raise
-    finally:
         for thread in threads:
             thread.join()
+    except BaseException:  # an interrupted caller stops its threads at their next point
+        with failed:
+            last = -1
+        for thread in threads:
+            thread.join()
+        raise
     estimates = []
     for i, (cfg, terms) in enumerate(points):
         if i in errors:

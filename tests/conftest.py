@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 
@@ -13,6 +14,13 @@ def _rebind(monkeypatch, original, replacement) -> None:
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, replacement)
+
+
+def _cpus(monkeypatch, count) -> None:
+    # rate_curve sizes its threads by the CPUs the process may run on; the small
+    # specs of the tests that call this thread too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(rates, "THREADED_SAMPLES", 1)
 
 
 @pytest.fixture

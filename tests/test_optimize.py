@@ -35,6 +35,7 @@ from relayrates import (
 )
 from relayrates.optimize import _DELTA_GRID
 from relayrates.rates import DrawSet, _finite_gain, _worker_count, exp_draws, rate, rate_curve
+from conftest import _cpus
 from test_contract import BLOCKS, log_uniform
 
 HIGH_SNR_LIMIT_M50 = (math.sqrt(96.0) - 2.0) / 46.0  # limit of the closed form as P grows
@@ -412,12 +413,13 @@ class TestCommonDraws:
             assert (hashlib.sha256(shared.tobytes()).hexdigest()
                     == hashlib.sha256(exp_draws(*args).tobytes()).hexdigest())
 
-    @pytest.mark.parametrize("cpus", [None, 1], ids=["usable_cpus", "one_cpu"])
+    @pytest.mark.parametrize("cpus", [None, 1, 64], ids=["usable_cpus", "one_cpu", "64_cpus"])
     @pytest.mark.parametrize("sweep", ["theta_sweep", "joint_allocation"])
     def test_peak_memory_of_a_warm_sweep(self, monkeypatch, thread_starts, sweep, cpus):
         # each of k kernel threads rescales into its own 4 scratch buffers of 10^5
         # floats, 3.2 MB; the reduction writes its deviations into the scratch, not
-        # a new array. On one CPU no thread starts and the serial bound holds.
+        # a new array. On one CPU no thread starts and the serial bound holds; on
+        # 64, k is still 2.
         if cpus is not None:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
@@ -436,11 +438,13 @@ class TestCommonDraws:
         assert peak <= 4 * workers * 100_000 * 8 + 0.2e6
         if cpus == 1:
             assert peak <= 5.8e6 and thread_starts == []
+        if cpus == 64:
+            assert peak <= 4 * 2 * 100_000 * 8 + 0.2e6 and len(thread_starts) == 2  # 1 a run
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_threaded_points_equal_standalone_calls(monkeypatch, capsys, scheme):
-    # every point of each grid search at 10^5 samples, its kernels dealt to 4
+    # every point of each grid search at 10^5 samples, its kernels dealt to 2
     # threads that switch every microsecond, equals its standalone rate call
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     curves = []
@@ -477,9 +481,9 @@ def test_threaded_points_equal_standalone_calls(monkeypatch, capsys, scheme):
 def test_joint_allocation_stops_at_a_failing_closed_form(monkeypatch, kernel, raised):
     # theta 0 yields one config and theta 0.1 two, after 1 + 3 closed-form calls
     # (delta_r, then each source candidate); the fifth, theta 0.2's delta_r, fails.
-    # The three configs before it are evaluated, on three threads, and the first
+    # The three configs before it are evaluated, on two threads, and the first
     # failure in grid order is raised.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    _cpus(monkeypatch, 4)
     rates = relayrates.rates
     closed_forms, order, evaluated = [], {}, []
     original_delta = relayrates.optimize.optimal_delta_r
@@ -512,7 +516,7 @@ def test_joint_allocation_stops_at_a_failing_closed_form(monkeypatch, kernel, ra
     assert len(closed_forms) == 5 and len(order) == 3
     if kernel is None:
         assert sorted(evaluated) == [0, 1, 2]
-    else:  # each point is on its own thread, so the others may run too
+    else:  # the other thread may run its points too
         assert set(range(kernel + 1)) <= set(evaluated) <= {0, 1, 2}
 
 
@@ -542,11 +546,11 @@ class TestDrawMemo:
                 == [w.tobytes() for _, w in draw_calls[:3]])
         assert [(t, _bits(r)) for t, r in again] == [(t, _bits(r)) for t, r in first]
 
-    @pytest.mark.parametrize("cpus", [None, 1], ids=["usable_cpus", "one_cpu"])
+    @pytest.mark.parametrize("cpus", [None, 1, 64], ids=["usable_cpus", "one_cpu", "64_cpus"])
     def test_a_new_spec_keeps_the_sweep_peak(self, monkeypatch, thread_starts, cpus):
         # the first spec's kept vectors go when the second is drawn: 3 draws and
-        # 4 scratch buffers of 10^5 floats per kernel thread at the peak; kept,
-        # 2.4 MB more
+        # 4 scratch buffers of 10^5 floats per kernel thread at the peak (k = 2
+        # on 64 CPUs); kept, 2.4 MB more
         if cpus is not None:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
@@ -565,6 +569,8 @@ class TestDrawMemo:
         assert peak <= (3 + 4 * workers) * 100_000 * 8 + 0.2e6
         if cpus == 1:
             assert peak <= (3 + 4) * 100_000 * 8 + 0.2e6 and thread_starts == []
+        if cpus == 64:
+            assert peak <= (3 + 4 * 2) * 100_000 * 8 + 0.2e6 and len(thread_starts) == 2
 
     def test_kept_draws_stay_read_only(self):
         theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.AF, MC, grid_step=0.1)

@@ -4,6 +4,8 @@ import platform
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -35,8 +37,9 @@ from relayrates import (
     mmse_quality,
     snr_gain_g,
 )
-from relayrates.rates import (MAX_NODES, MAX_SAMPLES, DrawSet, _worker_count, rate,
-                              rate_curve, stream)
+from relayrates.rates import (MAX_NODES, MAX_SAMPLES, MAX_WORKERS, THREADED_SAMPLES, DrawSet,
+                              _worker_count, rate, rate_curve, stream)
+from conftest import _cpus
 from test_contract import BLOCKS, FRACTIONS, log_uniform
 from test_preset_bytes import RECORDED_NUMPY
 
@@ -331,11 +334,6 @@ def test_peak_memory_of_a_standalone_call(scheme, limit):
     assert peak <= limit
 
 
-def _cpus(monkeypatch, count):
-    # rate_curve sizes its threads by the CPUs the process may run on
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 CURVE_SPEC = ExpectationSpec(dims=3, samples=2_000, seed=7)
 
 
@@ -368,32 +366,70 @@ class TestRateCurve:
     """``rate_curve`` runs the points' kernels on k threads, and gives what a loop of
     ``rate`` calls gives: the same estimates, or the same first error."""
 
-    @pytest.mark.parametrize("cpus", [1, 2, 64])
-    @pytest.mark.parametrize("samples", [1, 100_000, MAX_SAMPLES // 2 + 1, MAX_SAMPLES])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    @pytest.mark.parametrize("samples", [1, THREADED_SAMPLES - 1, THREADED_SAMPLES, 100_000,
+                                         MAX_SAMPLES // 2, MAX_SAMPLES // 2 + 1, MAX_SAMPLES])
     @pytest.mark.parametrize("points", [0, 1, 101])
     def test_worker_count(self, monkeypatch, cpus, samples, points):
-        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         workers = _worker_count(ExpectationSpec(dims=3, samples=samples), points)
-        assert workers == max(1, min(cpus, points, MAX_SAMPLES // samples))
-        assert workers * samples <= MAX_SAMPLES  # the scratch stays within one serial sweep's
+        threaded = samples >= THREADED_SAMPLES
+        assert workers == (max(1, min(cpus, points, 2, MAX_SAMPLES // samples)) if threaded
+                           else 1)
+        assert workers <= MAX_WORKERS == 2  # a sweep's scratch does not grow with the host
+        assert workers * samples <= MAX_SAMPLES  # nor beyond one serial sweep's at the cap
         gl = ExpectationSpec(dims=2, method=Method.GAUSS_LAGUERRE)
         assert _worker_count(gl, points) == 1
 
-    @pytest.mark.parametrize("cpu_count, workers", [(3, 3), (None, 1)])
+    @pytest.mark.parametrize("cpu_count, workers", [(3, 2), (None, 1)])
     def test_worker_count_without_affinity(self, monkeypatch, cpu_count, workers):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        assert _worker_count(CURVE_SPEC, 101) == workers
+        assert _worker_count(ExpectationSpec(dims=3, samples=100_000), 101) == workers
 
     def test_one_worker_starts_no_thread(self, monkeypatch, thread_starts):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rate_curve(_powers(5), _stats(), CURVE_SPEC)  # below THREADED_SAMPLES
         _cpus(monkeypatch, 1)
         rate_curve(_powers(5), _stats(), CURVE_SPEC)
         gl = ExpectationSpec(dims=2, method=Method.GAUSS_LAGUERRE, nodes=16)
         _cpus(monkeypatch, 4)
         rate_curve([_cfg(scheme=Scheme.DF_PARALLEL)] * 5, _stats(), gl)
         assert thread_starts == []
-        rate_curve(_powers(3), _stats(), CURVE_SPEC)  # the caller is the third worker
-        assert len(thread_starts) == 2 and not any(t.is_alive() for t in thread_starts)
+        rate_curve(_powers(3), _stats(), CURVE_SPEC)  # the caller is the other worker
+        assert len(thread_starts) == 1 and not any(t.is_alive() for t in thread_starts)
+
+    @pytest.mark.parametrize("where", ["kernel", "join"])
+    def test_an_interrupt_stops_the_threads(self, monkeypatch, thread_starts, where):
+        # the worker thread takes 10 ms a point; the caller is interrupted in its
+        # own kernel or, done with its points, while it waits for the worker
+        _cpus(monkeypatch, 2)
+        cfgs, stats = _powers(40), _stats()
+        caller, worker = threading.get_ident(), []
+        original_kernels, original_join = relayrates.rates._kernels, threading.Thread.join
+
+        def kernels(terms, spec, draws):
+            if threading.get_ident() != caller:
+                worker.append(terms)
+                time.sleep(0.01)
+            elif where == "kernel":
+                raise KeyboardInterrupt
+            return original_kernels(terms, spec, draws)
+
+        def join(thread, timeout=None):
+            if where == "join" and thread_starts[-1] is thread and not join.interrupted:
+                join.interrupted = True
+                raise KeyboardInterrupt
+            return original_join(thread, timeout)
+
+        join.interrupted = False
+        monkeypatch.setattr(relayrates.rates, "_kernels", kernels)
+        monkeypatch.setattr(threading.Thread, "join", join)
+        with pytest.raises(KeyboardInterrupt):
+            rate_curve(cfgs, stats, CURVE_SPEC)
+        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+        assert len(worker) < 10  # of its 20 points
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_points_equal_standalone_calls_on_every_thread(self, monkeypatch, scheme):
@@ -402,7 +438,7 @@ class TestRateCurve:
         curve = rate_curve(iter(cfgs), _stats(), CURVE_SPEC)
         assert curve == [rate(cfg, _stats(), CURVE_SPEC) for cfg in cfgs]
 
-    # with 4 workers, point i runs on thread i % 4, the caller's when i % 4 == 0
+    # with 2 workers, point i runs on thread i % 2, the caller's when i is even
     @pytest.mark.parametrize("bad", [{2, 5}, {5, 2, 7}, {3, 6}, {7}, {0, 1}, {4, 1}])
     def test_first_failing_kernel_in_grid_order(self, monkeypatch, bad):
         _cpus(monkeypatch, 4)
