@@ -39,6 +39,7 @@ from .optimize import (
     theta_sweep,
 )
 from .rates import (
+    MAX_SAMPLES,
     ExpectationSpec,
     Method,
     RateEstimate,
@@ -297,7 +298,12 @@ def _check(name: str, ok: bool, detail: str, lines: list[str]) -> bool:
 
 def cmd_verify(args) -> int:
     samples, seed = args.samples, args.seed
-    # built first, so that --samples and --seed are checked before any allocation
+    combos = [(s2, d, m, p) for s2 in (0.25, 1.0, 4.0) for d in (0.05, 0.3)
+              for (m, p) in ((10, 1.0), (50, 100.0))]
+    # checked before any sampling: one sample has no standard error to compare within,
+    # and case i of a check runs at seed + i, which must still be a 64-bit seed
+    check_int("--samples", samples, 2, MAX_SAMPLES)
+    check_int("--seed", seed, 0, 2**64 - max(len(combos), len(AF_ORACLE_CONFIGS)))
     specs = [ExpectationSpec(dims=3, samples=samples, seed=seed + i)
              for i in range(len(AF_ORACLE_CONFIGS))]
     started = time.monotonic()
@@ -305,8 +311,6 @@ def cmd_verify(args) -> int:
     all_ok = True
 
     # 1. symbol-level pilot simulation vs. the closed-form variance split
-    combos = [(s2, d, m, p) for s2 in (0.25, 1.0, 4.0) for d in (0.05, 0.3)
-              for (m, p) in ((10, 1.0), (50, 100.0))]
     # Sidak (1967): the z that gives a correct build a 1e-3 chance of a FAIL in 17 comparisons
     from statistics import NormalDist  # only verify needs it
     z = NormalDist().inv_cdf((1.0 + (1.0 - 1e-3) ** (1.0 / (len(combos) + len(specs)))) / 2.0)

@@ -12,11 +12,23 @@ log(1 + E ||L^-1 A||^2) with Cov = L L^H (an explicit 2x2 Cholesky factor, no
 LAPACK), which has no cancellation at high power; a covariance that is not
 positive definite is an error. Agreement between the two routes is the primary
 correctness check of the package; disagreement beyond sampling noise is a bug.
+
+From THREADED_SAMPLES draws on, with two usable CPUs, the stages run on two
+threads through ``rates._concurrently``: the independent Philox streams are
+drawn at once, simulate_training_quality takes its two variances at once, and
+the per-draw stages (beta, A and Cov; the whitened log-det) run on the two
+halves of the sample axis into one output. Each stream is keyed by its own
+(seed, role) and each per-draw stage is elementwise, so no value depends on the
+thread that made it. Every reduction (each mean, the standard error, the max
+and each positive-definite verdict) is still one whole-array call on one
+thread, so its summation order, and with it every output bit, is what one
+thread gives. The traced public functions run on the caller's thread.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +40,9 @@ from .rates import (
     ExpectationSpec,
     Method,
     RateEstimate,
+    _concurrently,
     _grid_array,
+    _worker_count,
     f_combiner,
     stream,
 )
@@ -52,6 +66,20 @@ def _complex_normal(gen: np.random.Generator, variance: float, n: int) -> np.nda
     return out
 
 
+def _dealt(calls: list, workers: int) -> list:
+    """The results of ``calls``, in order, dealt round-robin to ``workers`` threads."""
+    def share(w: int) -> list:
+        return [call() for call in calls[w::workers]]
+
+    shares = _concurrently([partial(share, w) for w in range(workers)])
+    return [shares[i % workers][i // workers] for i in range(len(calls))]
+
+
+def _parts(n: int, workers: int) -> list[slice]:
+    """``workers`` slices that split an axis of length ``n`` into consecutive parts."""
+    return [slice(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
+
+
 def simulate_training_quality(sigma: float, delta: float, m: int, p: float, n0: float,
                               trials: int, seed: int) -> EstimationQuality:
     """Empirical estimate/error variances from raw pilot observations.
@@ -66,12 +94,13 @@ def simulate_training_quality(sigma: float, delta: float, m: int, p: float, n0: 
 
     s2 = sigma * sigma
     pilot = math.sqrt(delta * m * p)
-    h = _complex_normal(stream(seed, TRAIN_CHANNEL), s2, trials)
-    noise = _complex_normal(stream(seed, TRAIN_NOISE), n0, trials)
+    workers = _worker_count(trials, 2)
+    h, noise = _dealt([partial(_complex_normal, stream(seed, TRAIN_CHANNEL), s2, trials),
+                       partial(_complex_normal, stream(seed, TRAIN_NOISE), n0, trials)], workers)
     y = h * pilot + noise
     h_hat = (s2 * pilot / (s2 * delta * m * p + n0)) * y
-    var_estimate = float(np.mean(np.abs(h_hat) ** 2))
-    var_error = float(np.mean(np.abs(h - h_hat) ** 2))
+    var_estimate, var_error = _dealt([lambda: float(np.mean(np.abs(h_hat) ** 2)),
+                                      lambda: float(np.mean(np.abs(h - h_hat) ** 2))], workers)
     return EstimationQuality(var_estimate=var_estimate, var_error=var_error)
 
 
@@ -89,9 +118,9 @@ def vector_channel_samples(cfg: SystemConfig, stats: ChannelStats, seed: int, co
     q_sd = mmse_quality(stats.sigma_sd, cfg.delta_s, cfg.m, cfg.p_s, stats.n0)
     q_sr = mmse_quality(stats.sigma_sr, cfg.delta_s, cfg.m, cfg.p_s, stats.n0)
     q_rd = mmse_quality(stats.sigma_rd, cfg.delta_r, cfg.m, cfg.p_r, stats.n0)
-    h_sd = _complex_normal(stream(seed, EST_SD), q_sd.var_estimate, count)
-    h_sr = _complex_normal(stream(seed, EST_SR), q_sr.var_estimate, count)
-    h_rd = _complex_normal(stream(seed, EST_RD), q_rd.var_estimate, count)
+    h_sd, h_sr, h_rd = _dealt([partial(_complex_normal, stream(seed, tag), q.var_estimate, count)
+                               for tag, q in ((EST_SD, q_sd), (EST_SR, q_sr), (EST_RD, q_rd))],
+                              _worker_count(count, 3))
 
     ex_s = data_symbol_energy(cfg.delta_s, cfg.m, cfg.p_s)
     ex_r = data_symbol_energy(cfg.delta_r, cfg.m, cfg.p_r)
@@ -99,22 +128,28 @@ def vector_channel_samples(cfg: SystemConfig, stats: ChannelStats, seed: int, co
     ez_d = q_sd.var_error * ex_s + stats.n0
     ez_dr = q_rd.var_error * ex_r + stats.n0
 
-    beta = np.sqrt(ex_r / (np.abs(h_sr) ** 2 * ex_s + ez_r))
-    relayed = h_rd * beta
-    a = np.stack([h_sd, relayed * h_sr], axis=1)
-
-    # B = [[0, 1, 0], [relayed, 0, 1]], D = diag(ez_r, ez_d, ez_dr). Each product of
-    # (B D) B^H is a complex constant or a (count,) vector built from `relayed`, summed
-    # over B's three columns in matmul's order, one (count,) entry of Cov at a time.
-    rows = ((0j, 1 + 0j, 0j), (relayed, 0j, 1 + 0j))
-    bd = [[np.multiply(x, dk) for x, dk in zip(row, (ez_r, ez_d, ez_dr))] for row in rows]
-    bh = [[np.conj(x) for x in row] for row in rows]
+    beta = np.empty(count)
+    a = np.empty((count, 2), dtype=complex)
     cov = np.empty((count, 2, 2), dtype=complex)
-    for i, j in np.ndindex(2, 2):
-        entry = cov[:, i, j]
-        np.multiply(bd[i][0], bh[j][0], out=entry)
-        for k in (1, 2):
-            entry += bd[i][k] * bh[j][k]
+
+    def fill(part: slice) -> None:  # beta, A and Cov of the draws in part
+        np.sqrt(ex_r / (np.abs(h_sr[part]) ** 2 * ex_s + ez_r), out=beta[part])
+        relayed = h_rd[part] * beta[part]
+        a[part, 0] = h_sd[part]
+        np.multiply(relayed, h_sr[part], out=a[part, 1])
+        # B = [[0, 1, 0], [relayed, 0, 1]], D = diag(ez_r, ez_d, ez_dr). Each product of
+        # (B D) B^H is a complex constant or a vector built from `relayed`, summed over
+        # B's three columns in matmul's order, one entry of Cov at a time.
+        rows = ((0j, 1 + 0j, 0j), (relayed, 0j, 1 + 0j))
+        bd = [[np.multiply(x, dk) for x, dk in zip(row, (ez_r, ez_d, ez_dr))] for row in rows]
+        bh = [[np.conj(x) for x in row] for row in rows]
+        for i, j in np.ndindex(2, 2):
+            entry = cov[part, i, j]
+            np.multiply(bd[i][0], bh[j][0], out=entry)
+            for k in (1, 2):
+                entry += bd[i][k] * bh[j][k]
+
+    _concurrently([partial(fill, part) for part in _parts(count, _worker_count(count, 2))])
     return (h_sd, h_sr, h_rd), beta, a, cov, (ex_s, ex_r, ez_r, ez_d, ez_dr)
 
 
@@ -133,14 +168,30 @@ def logdet_integrand(signal_energy: float, a: np.ndarray, cov: np.ndarray) -> np
     operation order, so it is LAPACK's factor bit for bit where c10 = 0 (the oracle's).
     """
     check_real("signal_energy", signal_energy)
+    n = len(cov)
+    if a.shape != (n, 2) or cov.shape != (n, 2, 2):
+        raise ValueError(f"A of shape {a.shape} and Cov of shape {cov.shape} are not "
+                         f"(n, 2) and (n, 2, 2)")
+    parts = _parts(n, _worker_count(n, 2))  # one part a thread
     l00 = _pivot_sqrt(cov[:, 0, 0].real)
-    l10 = cov[:, 1, 0] * (1.0 / l00)
-    l11 = _pivot_sqrt(cov[:, 1, 1].real - (l10.real ** 2 + l10.imag ** 2))
-    # L is lower triangular: forward substitution gives w = L^-1 a
-    w0 = a[:, 0] / l00
-    w1 = (a[:, 1] - l10 * w0) / l11
-    energy = w0.real ** 2 + w0.imag ** 2 + (w1.real ** 2 + w1.imag ** 2)
-    return np.log1p(signal_energy * energy)
+    l10, pivot, out = np.empty(n, dtype=complex), np.empty(n), np.empty(n)
+
+    def lower(part: slice) -> None:
+        np.multiply(cov[part, 1, 0], 1.0 / l00[part], out=l10[part])
+        np.subtract(cov[part, 1, 1].real, l10[part].real ** 2 + l10[part].imag ** 2,
+                    out=pivot[part])
+
+    def whitened(part: slice) -> None:
+        # L is lower triangular: forward substitution gives w = L^-1 a
+        w0 = a[part, 0] / l00[part]
+        w1 = (a[part, 1] - l10[part] * w0) / l11[part]
+        energy = w0.real ** 2 + w0.imag ** 2 + (w1.real ** 2 + w1.imag ** 2)
+        np.log1p(signal_energy * energy, out=out[part])
+
+    _concurrently([partial(lower, part) for part in parts])
+    l11 = _pivot_sqrt(pivot)  # each verdict is one whole-array check, as on one thread
+    _concurrently([partial(whitened, part) for part in parts])
+    return out
 
 
 def af_rate_logdet(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec) -> RateEstimate:

@@ -23,7 +23,8 @@ shared vectors into its own set's scratch, where the integrands compute in
 place, bit for bit what a standalone call computes; a sweep holds 3 + 4k
 arrays of samples floats (``DrawSet`` states k and the bound). A standalone
 ``rate`` scales fresh draws in place and holds 4 arrays of samples floats
-(AF) or 2 (DF).
+(AF) or 2 (DF). ``_concurrently`` is the one place the package starts threads,
+for these kernels and for the oracle's stages, and ``_worker_count`` sizes both.
 Quadrature (weight: the exponential density) is one tensor Gauss-Laguerre
 rule over 1-D or 2-D expectations. The module also holds what the optimizer
 and the oracles share: ``rate``, ``closed_grid``, the search result and the
@@ -63,8 +64,9 @@ MAX_NODES = 186
 # so never more than 3 + 4 arrays of MAX_SAMPLES (DrawSet states it).
 MAX_SAMPLES = 10**7
 MAX_GRID_POINTS = 1_000_000
-# A sweep's kernels run on at most MAX_WORKERS threads, and on one below THREADED_SAMPLES,
-# where a point's Python work outweighs its kernels (_worker_count has the timings).
+# A sweep's kernels and the oracle's stages run on at most MAX_WORKERS threads, and on one
+# below THREADED_SAMPLES, where a point's Python work or a thread's start outweighs the
+# numpy work it runs (_worker_count has the timings).
 MAX_WORKERS = 2
 THREADED_SAMPLES = 30_000
 
@@ -445,19 +447,58 @@ def rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec) -> RateE
     return _estimate(cfg, spec, terms, _kernels(terms, spec, None))
 
 
-def _worker_count(spec: ExpectationSpec, points: int) -> int:
-    """Kernel threads of a ``rate_curve`` of ``points`` configs: min(usable CPUs, points,
-    MAX_WORKERS, MAX_SAMPLES // samples) from THREADED_SAMPLES samples on, else 1, and 1
-    for quadrature. On 2 vCPUs, two threads ran AF and DF curves in 0.8-0.9 of one
-    thread's time at 3*10^4 samples and 0.5-0.8 of it from 10^5 to 5*10^6, but took
-    1.2-1.6 times it at 3*10^3 and 10^4; a third thread gained nothing. More threads are
-    unmeasured, so the cap keeps a sweep within 3 + 8 arrays on any host. Usable CPUs
-    are the affinity mask, not a cgroup quota: on one CPU two threads took 1.02-1.04
-    times one's time."""
-    if spec.method is not Method.MONTE_CARLO or spec.samples < THREADED_SAMPLES:
+def _worker_count(samples: int, tasks: int) -> int:
+    """Threads for ``tasks`` independent jobs over ``samples`` draws each: min(usable
+    CPUs, tasks, MAX_WORKERS, MAX_SAMPLES // samples) from THREADED_SAMPLES samples on,
+    else 1. It sizes a ``rate_curve``'s kernel threads (points are its tasks; a
+    quadrature curve stays on one) and each threaded stage of the oracle. On 2 vCPUs,
+    two threads ran AF and DF curves in 0.8-0.9 of one thread's time at 3*10^4 samples
+    and 0.5-0.8 of it from 10^5 to 5*10^6, but took 1.2-1.6 times it at 3*10^3 and 10^4;
+    a third thread gained nothing. The oracle's ``af_rate_logdet`` took 1.2-1.3 times
+    one thread's time at 10^4 but 0.8-0.9 of it at 3*10^4 and 0.6-0.7 from 10^5 to 10^6,
+    whenever the second vCPU was free. More threads are unmeasured, so the cap keeps
+    a sweep within 3 + 8 arrays on any host. Usable CPUs are the affinity mask, not a
+    cgroup quota: on one CPU two threads took 1.02-1.04 times one's time."""
+    if samples < THREADED_SAMPLES:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, points, MAX_WORKERS, MAX_SAMPLES // spec.samples))
+    return max(1, min(cpus or 1, tasks, MAX_WORKERS, MAX_SAMPLES // samples))
+
+
+def _concurrently(calls: Sequence[Callable[[], object]],
+                  stop: Callable[[], None] | None = None) -> list:
+    """The results of ``calls``, in order: the first runs on the caller's thread and
+    each other on a thread of its own, in a copy of the caller's context (so under its
+    ``np.errstate``). Every thread is joined before this returns, also when the caller
+    is interrupted, which first calls ``stop`` so the calls can end early. A failure
+    raises that of the first failing call, in call order."""
+    results, errors = [None] * len(calls), [None] * len(calls)
+
+    def run(i: int) -> None:
+        try:
+            results[i] = calls[i]()
+        except BaseException as exc:  # re-raised below, on the caller's thread
+            errors[i] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+               for i in range(1, len(calls))]
+    try:
+        for thread in threads:
+            thread.start()
+        results[0] = calls[0]()
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        if stop is not None:
+            stop()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        raise
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 def rate_curve(cfgs: Iterable[SystemConfig], stats: ChannelStats,
@@ -466,14 +507,13 @@ def rate_curve(cfgs: Iterable[SystemConfig], stats: ChannelStats,
 
     The caller's thread reads ``cfgs``, checks each config and computes its
     gains, then makes one ``DrawSet`` per kernel thread. The points' kernels
-    are dealt round-robin to k = ``_worker_count`` threads, the caller's among
-    them, each in a copy of the caller's context (so its ``np.errstate``) and
-    with its own set's scratch; k = 1 starts no thread, and no thread outlives
-    the call: an interrupted caller stops them at their next point. Every
-    estimate equals its standalone ``rate`` bit for bit, and a failure raises
-    what a loop of ``rate`` calls raises: that of the first failing point,
-    where an error from iterating ``cfgs`` counts as the point it would have
-    yielded.
+    are dealt round-robin to k = ``_worker_count`` threads by ``_concurrently``,
+    the caller's among them, each with its own set's scratch; k = 1 starts no
+    thread, and no thread outlives the call: an interrupted caller stops them at
+    their next point. Every estimate equals its standalone ``rate`` bit for bit,
+    and a failure raises what a loop of ``rate`` calls raises: that of the first
+    failing point, where an error from iterating ``cfgs`` counts as the point it
+    would have yielded.
     """
     points, failure = [], None
     try:
@@ -481,7 +521,8 @@ def rate_curve(cfgs: Iterable[SystemConfig], stats: ChannelStats,
             points.append((cfg, _terms(cfg, stats, spec)))
     except Exception as exc:  # raised after the points before it are evaluated
         failure = exc
-    workers = _worker_count(spec, len(points))
+    mc = spec.method is Method.MONTE_CARLO
+    workers = _worker_count(spec.samples, len(points)) if mc else 1
     sets = [DrawSet(spec) for _ in range(workers)] if points else []
     moments, errors = [None] * len(points), {}
     last, failed = len(points) - 1, threading.Lock()  # no point after a failed one is needed
@@ -499,20 +540,12 @@ def rate_curve(cfgs: Iterable[SystemConfig], stats: ChannelStats,
                     last = min(last, i)
                 return
 
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, worker))
-               for worker in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        work(0)
-        for thread in threads:
-            thread.join()
-    except BaseException:  # an interrupted caller stops its threads at their next point
+    def stop() -> None:  # an interrupted caller stops its threads at their next point
+        nonlocal last
         with failed:
             last = -1
-        for thread in threads:
-            thread.join()
-        raise
+
+    _concurrently([partial(work, worker) for worker in range(workers)], stop)
     estimates = []
     for i, (cfg, terms) in enumerate(points):
         if i in errors:

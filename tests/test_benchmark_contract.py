@@ -164,7 +164,7 @@ def test_sweep_workload_curves_and_joint_allocations_share_one_spec(monkeypatch,
         assert code == 0
     capsys.readouterr()
     # one set per kernel thread of each 101-point curve
-    sets = relayrates.rates._worker_count(worker_spec, 101)
+    sets = relayrates.rates._worker_count(worker_spec.samples, 101)
     assert specs == [worker_spec] * (sets * len(presets))
 
 
@@ -185,17 +185,12 @@ def test_draw_sets_reach_the_draws_through_their_traced_binding(monkeypatch):
     assert sorted(calls) == [(1, tag, 200) for tag in range(3)]
 
 
-def test_traced_names_run_only_on_the_callers_thread(monkeypatch, tmp_path, capsys):
-    # perfbench's Tracer keeps one call stack and its CallCounter hooks only the
-    # thread that enters it (sys.setprofile): a traced name that ran on a kernel
-    # thread would be counted by its wrapper but not by the hook. Bindings
-    # wrapped here count calls from every thread; a main-thread profile hook
-    # must see as many.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(relayrates.rates, "_last_draws", None)
-    originals = {"snr_gain_g_coefficient": relayrates.rates.snr_gain_g_coefficient,
-                 "exp_draws": relayrates.rates.exp_draws,
-                 "optimal_delta_r": relayrates.optimize.optimal_delta_r}
+def _count_traced(monkeypatch, originals: dict):
+    """Wrap each of ``originals`` in every binding the package holds.
+
+    Returns the list of names its wrappers saw called, from any thread, and a
+    profile hook with the Counter it fills from the thread it is set on.
+    """
     bound, profiled = [], Counter()  # list.append is atomic across threads
 
     def counted(name, original):
@@ -211,6 +206,22 @@ def test_traced_names_run_only_on_the_callers_thread(monkeypatch, tmp_path, caps
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in codes:
             profiled[codes[frame.f_code]] += 1
+
+    return bound, profiled, profile
+
+
+def test_traced_names_run_only_on_the_callers_thread(monkeypatch, tmp_path, capsys):
+    # perfbench's Tracer keeps one call stack and its CallCounter hooks only the
+    # thread that enters it (sys.setprofile): a traced name that ran on a kernel
+    # thread would be counted by its wrapper but not by the hook. Bindings
+    # wrapped here count calls from every thread; a main-thread profile hook
+    # must see as many.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(relayrates.rates, "_last_draws", None)
+    originals = {"snr_gain_g_coefficient": relayrates.rates.snr_gain_g_coefficient,
+                 "exp_draws": relayrates.rates.exp_draws,
+                 "optimal_delta_r": relayrates.optimize.optimal_delta_r}
+    bound, profiled, profile = _count_traced(monkeypatch, originals)
 
     preset = relayrates.cli.PRESETS["fig2"]
     stats = relayrates.ChannelStats(*preset.sigma_triples[0], n0=preset.params["n0"])
@@ -229,3 +240,38 @@ def test_traced_names_run_only_on_the_callers_thread(monkeypatch, tmp_path, caps
     assert bound["exp_draws"] == 3 and bound["optimal_delta_r"] > 0
     assert bound["snr_gain_g_coefficient"] > 0
     assert profiled == bound
+
+
+def test_verify_runs_traced_names_only_on_the_callers_thread(monkeypatch, capsys):
+    # as above, for verify at a size whose oracle stages thread: every traced name is
+    # wrapped and a main-thread profile hook must count its calls too. perfbench also
+    # compares the estimates it records across repetitions, so two runs must record
+    # the same estimates in the same order.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    originals = {name: getattr(importlib.import_module(f"relayrates.{module}"), name)
+                 for module, name in _literal("tracer", "TRACED")}
+    bound, profiled, profile = _count_traced(monkeypatch, originals)
+
+    records, runs = [], []
+    for name in _literal("worker", "VERIFY_ESTIMATES"):  # as perfbench's worker records them
+        def recorded(*args, _name=name, _fn=getattr(relayrates.cli, name), **kwargs):
+            result = _fn(*args, **kwargs)
+            records.append((_name, result))
+            return result
+        monkeypatch.setattr(relayrates.cli, name, recorded)
+    for _ in range(2):
+        sys.setprofile(profile)
+        try:
+            code = relayrates.cli.main(["verify", "--samples", "40000"])
+        finally:
+            sys.setprofile(None)
+        assert code == 0
+        runs.append(records[:])
+        records.clear()
+    capsys.readouterr()
+    bound = Counter(bound)
+    assert bound["vector_channel_samples"] == bound["logdet_integrand"] == 2 * 10
+    assert bound["simulate_training_quality"] == 2 * 12
+    assert profiled == bound
+    assert [name for name, _ in runs[0]] == [name for name, _ in runs[1]]
+    assert runs[0] == runs[1] and len(runs[0]) == 12 + 5 + 5

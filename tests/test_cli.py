@@ -14,6 +14,7 @@ import pytest
 
 import relayrates.cli
 import relayrates.oracle
+import relayrates.rates
 from relayrates import (
     ChannelStats,
     ExpectationSpec,
@@ -27,6 +28,7 @@ from relayrates import (
 )
 from relayrates.cli import THETA_CSV_HEADER, _expand, _write_csv, build_parser, main
 from relayrates.rates import rate
+from conftest import _rebind
 from test_preset_bytes import recorded_build
 
 RATE_ARGS = ["rate", "--scheme", "af", "--m", "50", "--ps", "60", "--pr", "40",
@@ -719,6 +721,28 @@ class TestVerifyCommand:
         status = {line.split()[1]: line.split()[0] for line in out.splitlines()[1:-1]}
         assert status == {c: "FAIL" if c == check else "pass" for c in self.BIASES}
         assert out.splitlines()[-1].startswith("verify FAILED in ")
+
+    # one sample has no standard error, so a correct build failed at tolerance 0; case i
+    # of a check runs at seed + i for i < 12, so 2^64 - 12 is the largest seed
+    @pytest.mark.parametrize("flag, value, allowed", [
+        ("--samples", "1", "[2, 10000000]"), ("--samples", "0", "[2, 10000000]"),
+        ("--seed", str(2**64 - 11), f"[0, {2**64 - 12}]"),
+        ("--seed", str(2**64 - 6), f"[0, {2**64 - 12}]"),
+        ("--seed", "-1", f"[0, {2**64 - 12}]"),
+    ])
+    def test_bad_samples_or_seed_is_one_error_line_before_any_draw(self, capsys, monkeypatch,
+                                                                    flag, value, allowed):
+        def forbidden(*args):
+            raise AssertionError("verify drew before checking its flags")
+
+        _rebind(monkeypatch, relayrates.rates.stream, forbidden)
+        code, out, err = run(capsys, "verify", flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag} must be an integer in {allowed}, got {value}\n"
+
+    def test_largest_seed_and_fewest_samples_pass(self, capsys):
+        code, out, _ = run(capsys, "verify", "--samples", "2", "--seed", str(2**64 - 12))
+        assert code == 0 and out.splitlines()[-1].startswith("verify passed in ")
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_stdout_is_not_a_failure(self, unbuffered):

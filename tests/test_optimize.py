@@ -434,7 +434,7 @@ class TestCommonDraws:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        workers = _worker_count(MC_FULL, 11)
+        workers = _worker_count(MC_FULL.samples, 11)
         assert peak <= 4 * workers * 100_000 * 8 + 0.2e6
         if cpus == 1:
             assert peak <= 5.8e6 and thread_starts == []
@@ -565,7 +565,7 @@ class TestDrawMemo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        workers = _worker_count(second, 11)
+        workers = _worker_count(second.samples, 11)
         assert peak <= (3 + 4 * workers) * 100_000 * 8 + 0.2e6
         if cpus == 1:
             assert peak <= (3 + 4) * 100_000 * 8 + 0.2e6 and thread_starts == []

@@ -2,6 +2,8 @@ import ast
 import dataclasses
 import hashlib
 import math
+import os
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -31,7 +33,8 @@ from relayrates import (
 )
 from relayrates import oracle
 from relayrates.cli import AF_ORACLE_CONFIGS
-from relayrates.rates import stream
+from relayrates.rates import THREADED_SAMPLES, stream
+from conftest import _cpus
 from test_preset_bytes import recorded_build
 
 
@@ -291,6 +294,103 @@ class TestBitForBitKernels:
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+def _oracle_bits(cfg, stats, seed, count):
+    """Every value the oracle's threaded entry points return for one case, as bytes."""
+    q = simulate_training_quality(stats.sigma_sd, cfg.delta_s, cfg.m, cfg.p_s, stats.n0,
+                                  count, seed)
+    estimates, beta, a, cov, moments = vector_channel_samples(cfg, stats, seed, count)
+    logs = logdet_integrand(moments[0], a, cov)
+    rate = af_rate_logdet(cfg, stats, ExpectationSpec(dims=3, samples=count, seed=seed))
+    floats = [q.var_estimate, q.var_error, *moments, rate.value, rate.std_error,
+              max_identity_gap(cfg, stats, seed, count)]
+    arrays = [*estimates, beta, a, cov, logs]
+    assert all(array.flags.c_contiguous for array in arrays)
+    return [value.hex() for value in floats] + [array.tobytes() for array in arrays]
+
+
+@pytest.fixture
+def fast_switching():
+    # threads hand over the interpreter every microsecond, so a part that depended on
+    # another's timing would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestThreadedStages:
+    """The oracle's streams, per-draw stages and variances run on k threads and give
+    what one thread gives, bit for bit; every reduction stays one whole-array call."""
+
+    CASE = KERNEL_CONFIGS[0]
+
+    @pytest.mark.parametrize("count", [THREADED_SAMPLES - 1, 100_000])
+    def test_one_and_two_cpus_give_the_same_bits(self, monkeypatch, thread_starts,
+                                                 fast_switching, count):
+        cfg, stats = _af_case(*self.CASE)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            outputs.append(_oracle_bits(cfg, stats, 7, count))
+            threaded = cpus == 2 and count >= THREADED_SAMPLES
+            assert bool(thread_starts) == threaded  # none below the floor or on one CPU
+        assert outputs[0] == outputs[1]
+        assert not any(thread.is_alive() for thread in thread_starts)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 1_001])
+    def test_parts_of_every_size_give_the_same_bits(self, monkeypatch, thread_starts,
+                                                    fast_switching, count):
+        # with the floor at 1 sample, a part may be empty or one draw long
+        cfg, stats = _af_case(*self.CASE)
+        _cpus(monkeypatch, 1)
+        serial = _oracle_bits(cfg, stats, 3, count)
+        _cpus(monkeypatch, 2)
+        assert _oracle_bits(cfg, stats, 3, count) == serial
+        assert thread_starts and not any(thread.is_alive() for thread in thread_starts)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1)])
+    def test_an_indefinite_covariance_in_the_second_half_is_the_serial_error(
+            self, monkeypatch, entry):
+        cfg, stats = _af_case(*self.CASE)
+        _, _, a, cov, (ex_s, *_) = vector_channel_samples(cfg, stats, 5, 100_000)
+        cov[-1][entry] = -1.0
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            with pytest.raises(ArithmeticError) as excinfo:
+                logdet_integrand(ex_s, a, cov)
+            errors.append((type(excinfo.value), str(excinfo.value)))
+        assert errors[0] == errors[1] == (ArithmeticError, "noise covariance of the log-det "
+                                          "integrand is not positive definite")
+
+    def test_a_floating_point_error_propagates_from_a_worker(self, monkeypatch,
+                                                             thread_starts):
+        # only the last draw, in the part a worker thread evaluates, overflows
+        cfg, stats = _af_case(*self.CASE)
+        _, _, a, cov, (ex_s, *_) = vector_channel_samples(cfg, stats, 5, 100_000)
+        a[-1, 1] = 1e200
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            with np.errstate(all="raise"), pytest.raises(FloatingPointError) as excinfo:
+                logdet_integrand(ex_s, a, cov)
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1] and "overflow" in errors[0]
+        assert thread_starts and not any(thread.is_alive() for thread in thread_starts)
+        with np.errstate(over="ignore"):
+            assert logdet_integrand(ex_s, a, cov)[-1] == math.inf
+
+    def test_mismatched_shapes_are_rejected(self):
+        with pytest.raises(ValueError, match="not \\(n, 2\\) and \\(n, 2, 2\\)"):
+            logdet_integrand(1.0, np.ones((3, 2), dtype=complex),
+                             np.ones((2, 2, 2), dtype=complex))
+
+
 class TestGridArgmax:
     def test_constant_ties_to_left_endpoint(self):
         result = grid_argmax(lambda x: np.full(len(x), 0.7), 0.0, 1.0, 0.1)
@@ -390,20 +490,21 @@ def test_oracle_uses_no_linalg():
     assert "linalg" not in names | _imported_modules("oracle")
 
 
-def test_only_rate_curve_starts_threads():
-    # rate_curve is the one place threads start, so a sweep's memory is its
-    # 3 + 4k arrays (tests/test_optimize.py bounds them); no module imports
+def test_only_concurrently_starts_threads():
+    # rates._concurrently is the one place threads start, for the grid points and the
+    # oracle's stages alike, so each joins them before it returns and a sweep's memory
+    # is its 3 + 4k arrays (tests/test_optimize.py bounds them); no module imports
     # concurrent.futures ("futures"), which the CLI would pay for at start-up
     importers = {path.stem for path in Path(relayrates.__file__).parent.glob("*.py")
                  if "threading" in _imported_modules(path.stem)}
     assert importers == {"rates"}
     for path in Path(relayrates.__file__).parent.glob("*.py"):
         assert "futures" not in _imported_modules(path.stem), path.name
-    starters = {function.name for function in ast.walk(_parse("rates"))
-                if isinstance(function, ast.FunctionDef)
-                for node in ast.walk(function)
-                if isinstance(node, ast.Attribute) and node.attr == "Thread"}
-    assert starters == {"rate_curve"}
+        starters = {function.name for function in ast.walk(_parse(path.stem))
+                    if isinstance(function, ast.FunctionDef)
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Attribute) and node.attr == "Thread"}
+        assert starters == ({"_concurrently"} if path.stem == "rates" else set()), path.name
 
 
 # SHA-256 per AF_ORACLE_CONFIGS entry over the float.hex of af_rate_logdet

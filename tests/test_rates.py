@@ -373,20 +373,18 @@ class TestRateCurve:
     def test_worker_count(self, monkeypatch, cpus, samples, points):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        workers = _worker_count(ExpectationSpec(dims=3, samples=samples), points)
+        workers = _worker_count(samples, points)
         threaded = samples >= THREADED_SAMPLES
         assert workers == (max(1, min(cpus, points, 2, MAX_SAMPLES // samples)) if threaded
                            else 1)
         assert workers <= MAX_WORKERS == 2  # a sweep's scratch does not grow with the host
         assert workers * samples <= MAX_SAMPLES  # nor beyond one serial sweep's at the cap
-        gl = ExpectationSpec(dims=2, method=Method.GAUSS_LAGUERRE)
-        assert _worker_count(gl, points) == 1
 
     @pytest.mark.parametrize("cpu_count, workers", [(3, 2), (None, 1)])
     def test_worker_count_without_affinity(self, monkeypatch, cpu_count, workers):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        assert _worker_count(ExpectationSpec(dims=3, samples=100_000), 101) == workers
+        assert _worker_count(100_000, 101) == workers
 
     def test_one_worker_starts_no_thread(self, monkeypatch, thread_starts):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
