@@ -44,7 +44,7 @@ def _check_link(sigma, delta, m: int, p, n0, names=("sigma", "delta", "p")) -> N
     check_real(names[1], delta, hi=1.0)
     check_real(names[2], p)
     check_real("n0", n0, open_lo=True)
-    check_int("m", m, 6, even=True)
+    check_int("m", m, 6, 2**53, even=True)
 
 
 class Scheme(enum.Enum):
@@ -78,8 +78,8 @@ class SystemConfig:
     """Block length, per-node power budgets, training fractions and scheme.
 
     ``m`` must be even and at least 6 so the data phase is a nonempty pair of
-    equal halves. ``delta_s``/``delta_r`` may be 0 or 1; those degenerate
-    splits simply drive the achievable rate to zero.
+    equal halves, and at most 2^53 so it is an exact float. ``delta_s``/``delta_r``
+    may be 0 or 1; those degenerate splits simply drive the achievable rate to zero.
     """
 
     m: int
@@ -90,7 +90,7 @@ class SystemConfig:
     scheme: Scheme
 
     def __post_init__(self) -> None:
-        check_int("m", self.m, 6, even=True)
+        check_int("m", self.m, 6, 2**53, even=True)
         for name, hi in (("p_s", math.inf), ("p_r", math.inf), ("delta_s", 1.0), ("delta_r", 1.0)):
             check_real(name, getattr(self, name), hi=hi)
         if not isinstance(self.scheme, Scheme):
@@ -147,7 +147,7 @@ def data_symbol_energy(delta: float, m: int, p: float) -> float:
     """
     check_real("delta", delta, hi=1.0)
     check_real("p", p)
-    check_int("m", m, 6, even=True)
+    check_int("m", m, 6, 2**53, even=True)
     energy = 2.0 * (1.0 - delta) * m * p / (m - 2.0)
     if not math.isfinite(energy):
         raise ValueError(f"data symbol energy overflows at delta={delta!r}, m={m!r}, p={p!r}")

@@ -1,17 +1,12 @@
 """Resource allocation: closed-form training fractions and power-split sweeps.
 
 The relay's optimal training fraction maximizes the |w|^2 coefficient of the
-per-link SNR gain; its closed form is exact to a few ulps for every m < 2^53.
+per-link SNR gain; its closed form is exact to a few ulps for every m <= 2^53.
 The source fraction has none; two candidates (one per link) are evaluated.
 The source/relay power split theta is swept on a grid with common random
 numbers, free of sampling noise between grid points: every search hands its
-configs to ``rates.rate_curve``, which reads the three |w|^2 vectors of its
-spec from the process's last draw (drawn once per spec), checks each config
-and computes its gains on the caller's thread, and rescales the vectors per
-point on k <= ``rates.MAX_WORKERS`` threads, one scratch set each (3 + 4k
-arrays of samples floats; ``rates.DrawSet`` states the memory). Each
-point's rate is ``rates.rate`` of its config bit for bit, whose scheme picks
-the parts.
+configs to ``rates.rate_curve``, and each point's rate is ``rates.rate`` of
+its config bit for bit, whose scheme picks the parts.
 ``snr_gain_g_coefficient`` is ``rates``' gain formula, bound here too.
 """
 
@@ -67,26 +62,22 @@ def optimal_delta_r(m: int, p: float, sigma: float, n0: float) -> float:
     factor free of a, where c = (m-4) / (2 + (m-2)/s) is in [0, (m-4)/2]; the
     root 1 / (1 + sqrt(1 + c)) runs from 1/2 (s -> 0) to 1 / (1 + sqrt((m-2)/2))
     (s -> inf). (m-2)/s is formed on frexp mantissas, so nothing overflows and
-    every m < 2^53 gets its root to a few ulps. A grid search of the bounded
-    a(1-a) / (1 + c a) checks each call; a gap beyond 1e-3, a fault, or an m
-    too large for a float raises a ValueError that names the inputs.
+    every m, an exact float up to its bound 2^53, gets its root to a few ulps. A
+    grid search of the bounded a(1-a) / (1 + c a) checks each call; a gap beyond
+    1e-3 raises a ValueError that names the inputs.
     """
-    check_int("m", m, 6, even=True)
+    check_int("m", m, 6, 2**53, even=True)
     for name, value in (("p", p), ("sigma", sigma), ("n0", n0)):
         check_real(name, value, open_lo=True)
 
-    delta = reference = math.nan
-    try:
-        # (m-2)/s = (m-2)/m * n0 / (p sigma^2); beyond 2^1020, 1 + c rounds to 1 anyway
-        (fn, en), (fp, ep), (fs, es) = map(math.frexp, (n0, p, sigma))
-        t = math.ldexp((m - 2) / m * fn / (fp * fs * fs), min(en - ep - 2 * es, 1020))
-        c = (m - 4) / (2.0 + t)
-        delta = 1.0 / (1.0 + math.sqrt(1.0 + c))
-        objective = _DELTA_GRID * (1.0 - _DELTA_GRID) / (1.0 + c * _DELTA_GRID)
-        reference = float(_DELTA_GRID[int(np.argmax(objective))])
-    except ArithmeticError:  # m too large for a float; the value that failed stays NaN
-        pass
-    if not (0.0 < delta < 1.0 and abs(delta - reference) <= 1e-3):  # also where either is NaN
+    # (m-2)/s = (m-2)/m * n0 / (p sigma^2); beyond 2^1020, 1 + c rounds to 1 anyway
+    (fn, en), (fp, ep), (fs, es) = map(math.frexp, (n0, p, sigma))
+    t = math.ldexp((m - 2) / m * fn / (fp * fs * fs), min(en - ep - 2 * es, 1020))
+    c = (m - 4) / (2.0 + t)
+    delta = 1.0 / (1.0 + math.sqrt(1.0 + c))
+    objective = _DELTA_GRID * (1.0 - _DELTA_GRID) / (1.0 + c * _DELTA_GRID)
+    reference = float(_DELTA_GRID[int(np.argmax(objective))])
+    if not (0.0 < delta < 1.0 and abs(delta - reference) <= 1e-3):
         raise ValueError(f"closed form {delta} is outside (0, 1) or off its grid reference "
                          f"{reference} for m={m}, p={p}, sigma={sigma}, n0={n0}")
     return delta
@@ -110,10 +101,8 @@ def theta_sweep(total_power: float, stats: ChannelStats, m: int, delta_s: float,
                 grid_step: float = 0.01) -> list[tuple[float, RateEstimate]]:
     """Rate at every theta on the closed grid [0, 1], common random numbers.
 
-    ``rates.rate_curve`` evaluates the points over the three |w|^2 vectors of
-    ``spec``, drawn only if the last spec drawn in the process differs, which
-    stay in the process after the call; each point equals a standalone rate
-    call bit for bit.
+    ``rates.rate_curve`` evaluates the points over one shared draw of ``spec``;
+    each point equals a standalone rate call bit for bit.
     """
     check_real("grid_step", grid_step, hi=1.0, open_lo=True)
     splits = [PowerSplit(total_power, theta) for theta in closed_grid(0.0, 1.0, grid_step)]
@@ -142,8 +131,7 @@ def joint_allocation(total_power: float, stats: ChannelStats, m: int, scheme: Sc
     For each candidate theta: the relay fraction comes from the closed form
     at its share of the power, and the better of the two source candidates is
     kept after evaluating both rates (common random numbers from one draw of
-    the spec, which a sweep of the same spec has already made, make the
-    comparison exact). Returns (theta, delta_s, delta_r, rate)
+    the spec make the comparison exact). Returns (theta, delta_s, delta_r, rate)
     of the best triple, ties going as in :func:`optimize_theta` (delta_s ascends
     too); at the endpoints the powerless node's fraction is pinned to 0. A
     closed form that fails stops the grid there: the points before it are

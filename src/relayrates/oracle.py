@@ -13,16 +13,11 @@ LAPACK), which has no cancellation at high power; a covariance that is not
 positive definite is an error. Agreement between the two routes is the primary
 correctness check of the package; disagreement beyond sampling noise is a bug.
 
-From THREADED_SAMPLES draws on, with two usable CPUs, the stages run on two
-threads through ``rates._concurrently``: the independent Philox streams are
-drawn at once, simulate_training_quality takes its two variances at once, and
-the per-draw stages (beta, A and Cov; the whitened log-det) run on the two
-halves of the sample axis into one output. Each stream is keyed by its own
-(seed, role) and each per-draw stage is elementwise, so no value depends on the
-thread that made it. Every reduction (each mean, the standard error, the max
-and each positive-definite verdict) is still one whole-array call on one
-thread, so its summation order, and with it every output bit, is what one
-thread gives. The traced public functions run on the caller's thread.
+The stages that ``rates._concurrently`` deals to threads draw independent
+(seed, role) streams or work elementwise on parts of the sample axis, and every
+reduction (each mean, the standard error, the max and each positive-definite
+verdict) is one whole-array call, so every output bit is what one thread gives.
+The traced public functions run on the caller's thread.
 """
 
 from __future__ import annotations
@@ -66,15 +61,6 @@ def _complex_normal(gen: np.random.Generator, variance: float, n: int) -> np.nda
     return out
 
 
-def _dealt(calls: list, workers: int) -> list:
-    """The results of ``calls``, in order, dealt round-robin to ``workers`` threads."""
-    def share(w: int) -> list:
-        return [call() for call in calls[w::workers]]
-
-    shares = _concurrently([partial(share, w) for w in range(workers)])
-    return [shares[i % workers][i // workers] for i in range(len(calls))]
-
-
 def _parts(n: int, workers: int) -> list[slice]:
     """``workers`` slices that split an axis of length ``n`` into consecutive parts."""
     return [slice(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
@@ -95,13 +81,13 @@ def simulate_training_quality(sigma: float, delta: float, m: int, p: float, n0: 
     s2 = sigma * sigma
     pilot = math.sqrt(delta * m * p)
     workers = _worker_count(trials, 2)
-    h, noise = _dealt([partial(_complex_normal, stream(seed, TRAIN_CHANNEL), s2, trials),
-                       partial(_complex_normal, stream(seed, TRAIN_NOISE), n0, trials)], workers)
+    h, noise = _concurrently([partial(_complex_normal, stream(seed, tag), var, trials)
+                              for tag, var in ((TRAIN_CHANNEL, s2), (TRAIN_NOISE, n0))], workers)
     y = h * pilot + noise
     h_hat = (s2 * pilot / (s2 * delta * m * p + n0)) * y
-    var_estimate, var_error = _dealt([lambda: float(np.mean(np.abs(h_hat) ** 2)),
-                                      lambda: float(np.mean(np.abs(h - h_hat) ** 2))], workers)
-    return EstimationQuality(var_estimate=var_estimate, var_error=var_error)
+    estimate, error = _concurrently([lambda: float(np.mean(np.abs(h_hat) ** 2)),
+                                     lambda: float(np.mean(np.abs(h - h_hat) ** 2))], workers)
+    return EstimationQuality(var_estimate=estimate, var_error=error)
 
 
 def vector_channel_samples(cfg: SystemConfig, stats: ChannelStats, seed: int, count: int):
@@ -118,9 +104,9 @@ def vector_channel_samples(cfg: SystemConfig, stats: ChannelStats, seed: int, co
     q_sd = mmse_quality(stats.sigma_sd, cfg.delta_s, cfg.m, cfg.p_s, stats.n0)
     q_sr = mmse_quality(stats.sigma_sr, cfg.delta_s, cfg.m, cfg.p_s, stats.n0)
     q_rd = mmse_quality(stats.sigma_rd, cfg.delta_r, cfg.m, cfg.p_r, stats.n0)
-    h_sd, h_sr, h_rd = _dealt([partial(_complex_normal, stream(seed, tag), q.var_estimate, count)
-                               for tag, q in ((EST_SD, q_sd), (EST_SR, q_sr), (EST_RD, q_rd))],
-                              _worker_count(count, 3))
+    h_sd, h_sr, h_rd = _concurrently(
+        [partial(_complex_normal, stream(seed, tag), q.var_estimate, count)
+         for tag, q in ((EST_SD, q_sd), (EST_SR, q_sr), (EST_RD, q_rd))], _worker_count(count, 3))
 
     ex_s = data_symbol_energy(cfg.delta_s, cfg.m, cfg.p_s)
     ex_r = data_symbol_energy(cfg.delta_r, cfg.m, cfg.p_r)
@@ -149,7 +135,8 @@ def vector_channel_samples(cfg: SystemConfig, stats: ChannelStats, seed: int, co
             for k in (1, 2):
                 entry += bd[i][k] * bh[j][k]
 
-    _concurrently([partial(fill, part) for part in _parts(count, _worker_count(count, 2))])
+    parts = _parts(count, _worker_count(count, 2))
+    _concurrently([partial(fill, part) for part in parts], len(parts))
     return (h_sd, h_sr, h_rd), beta, a, cov, (ex_s, ex_r, ez_r, ez_d, ez_dr)
 
 
@@ -188,9 +175,9 @@ def logdet_integrand(signal_energy: float, a: np.ndarray, cov: np.ndarray) -> np
         energy = w0.real ** 2 + w0.imag ** 2 + (w1.real ** 2 + w1.imag ** 2)
         np.log1p(signal_energy * energy, out=out[part])
 
-    _concurrently([partial(lower, part) for part in parts])
+    _concurrently([partial(lower, part) for part in parts], len(parts))
     l11 = _pivot_sqrt(pivot)  # each verdict is one whole-array check, as on one thread
-    _concurrently([partial(whitened, part) for part in parts])
+    _concurrently([partial(whitened, part) for part in parts], len(parts))
     return out
 
 

@@ -14,17 +14,17 @@ Monte Carlo draws invert counter-based Philox uniforms keyed by
 (seed, role) through numpy's vectorized ``log1p``, one uniform per draw, so
 sample i is the same in every context and identical seeds give identical
 draws for every scheme and every power split (common random numbers).
-``rate_curve`` evaluates a grid search's configs over one spec: the caller's
-thread checks each config, computes its gains and makes the ``DrawSet``s,
-whose three read-only vectors the process keeps for the last Monte Carlo spec
-drawn, so the sweeps and joint allocations of one spec share one draw. Only
-the points' kernels run on k <= MAX_WORKERS threads, each rescaling the
-shared vectors into its own set's scratch, where the integrands compute in
-place, bit for bit what a standalone call computes; a sweep holds 3 + 4k
-arrays of samples floats (``DrawSet`` states k and the bound). A standalone
-``rate`` scales fresh draws in place and holds 4 arrays of samples floats
-(AF) or 2 (DF). ``_concurrently`` is the one place the package starts threads,
-for these kernels and for the oracle's stages, and ``_worker_count`` sizes both.
+Threads and memory: ``_concurrently`` is the one place the package starts
+threads. It deals call i to thread i % k, the caller's thread among them: the
+point kernels of ``rate_curve`` and the oracle's stages, with k =
+``_worker_count`` <= MAX_WORKERS. The process keeps the three read-only vectors
+of the last Monte Carlo spec drawn, shared by every ``DrawSet`` of that spec,
+so the sweeps and joint allocations of one spec share one draw. Each kernel
+thread rescales them into its own set's 4 scratch arrays, where the integrands
+compute in place, bit for bit what a standalone ``rate`` computes in its own
+4 arrays (AF) or 2 (DF). A sweep so holds 3 + 4k arrays of samples floats,
+never more than 3 + 4 of MAX_SAMPLES since k <= MAX_SAMPLES // samples, and
+keeps the 3 vectors after it returns.
 Quadrature (weight: the exponential density) is one tensor Gauss-Laguerre
 rule over 1-D or 2-D expectations. The module also holds what the optimizer
 and the oracles share: ``rate``, ``closed_grid``, the search result and the
@@ -59,14 +59,9 @@ COMBINING = "combining"
 
 # numpy's Gauss-Laguerre rule overflows (NaN weights) from 187 nodes on.
 MAX_NODES = 186
-# A standalone Monte Carlo call holds 4 (AF) or 2 (DF) float64 arrays of this length;
-# a sweep holds 3 + 4k for k = _worker_count(...) <= MAX_SAMPLES // samples threads,
-# so never more than 3 + 4 arrays of MAX_SAMPLES (DrawSet states it).
 MAX_SAMPLES = 10**7
 MAX_GRID_POINTS = 1_000_000
-# A sweep's kernels and the oracle's stages run on at most MAX_WORKERS threads, and on one
-# below THREADED_SAMPLES, where a point's Python work or a thread's start outweighs the
-# numpy work it runs (_worker_count has the timings).
+# _worker_count's bounds on the threads of _concurrently
 MAX_WORKERS = 2
 THREADED_SAMPLES = 30_000
 
@@ -214,19 +209,12 @@ _last_draws: tuple[ExpectationSpec, list[np.ndarray]] | None = None
 class DrawSet:
     """The three link streams of one Monte Carlo spec, shared with its other sets.
 
-    ``w[tag]`` is ``exp_draws(spec.seed, tag, spec.samples)``, read-only. The
-    vectors of the last spec drawn stay in the process, so every set of that
-    spec, in any sweep or joint allocation, shares them; a set of a new spec
-    first drops them, then draws its own. A kernel handed the set rescales the
-    vectors it needs into the set's own four ``scratch`` buffers, so a sweep
-    faults its temporaries in once. The set saves work but never changes a
-    value. ``rate_curve`` makes one set per kernel thread, k =
-    ``_worker_count(spec, points)`` <= MAX_WORKERS and <= MAX_SAMPLES // samples,
-    so a sweep holds at most 3 + 4k arrays of samples floats: 5.6 MB at 10^5
-    samples on one thread and 8.8 MB on two, whatever the host's CPU count, and
-    never more than the 560 MB of 3 + 4 arrays at MAX_SAMPLES. After it returns
-    the process keeps the 3 vectors, 2.4 MB and 240 MB. A quadrature spec's set
-    holds nothing and leaves the kept vectors be. Only this module makes sets.
+    ``w[tag]`` is ``exp_draws(spec.seed, tag, spec.samples)``, read-only and kept
+    in the process for the last spec drawn; a set of a new spec first drops the
+    kept vectors, then draws its own. A kernel handed the set rescales the vectors
+    it needs into the set's own four ``scratch`` buffers. The set saves work but
+    never changes a value. A quadrature spec's set holds nothing and leaves the
+    kept vectors be. Only this module makes sets.
     """
 
     def __init__(self, spec: ExpectationSpec):
@@ -264,7 +252,6 @@ def _expectation(integrand: Callable[..., np.ndarray], coefficients: Sequence[fl
     The X_i are independent exponential(1) variables: Monte Carlo takes
     X_i from stream ``tags[i]`` and scales it by c_i, into the scratch of a
     ``draws`` set of this spec, else in place into a fresh draw.
-    It is the one step of a rate that ``rate_curve`` runs on its threads.
     Gauss-Laguerre (k <= 2) evaluates the tensor rule. The integrand may
     overwrite its arrays, and the engine writes only into arrays it made.
     The mean must be finite and within the samples.
@@ -450,54 +437,53 @@ def rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec) -> RateE
 def _worker_count(samples: int, tasks: int) -> int:
     """Threads for ``tasks`` independent jobs over ``samples`` draws each: min(usable
     CPUs, tasks, MAX_WORKERS, MAX_SAMPLES // samples) from THREADED_SAMPLES samples on,
-    else 1. It sizes a ``rate_curve``'s kernel threads (points are its tasks; a
-    quadrature curve stays on one) and each threaded stage of the oracle. On 2 vCPUs,
-    two threads ran AF and DF curves in 0.8-0.9 of one thread's time at 3*10^4 samples
-    and 0.5-0.8 of it from 10^5 to 5*10^6, but took 1.2-1.6 times it at 3*10^3 and 10^4;
-    a third thread gained nothing. The oracle's ``af_rate_logdet`` took 1.2-1.3 times
-    one thread's time at 10^4 but 0.8-0.9 of it at 3*10^4 and 0.6-0.7 from 10^5 to 10^6,
-    whenever the second vCPU was free. More threads are unmeasured, so the cap keeps
-    a sweep within 3 + 8 arrays on any host. Usable CPUs are the affinity mask, not a
-    cgroup quota: on one CPU two threads took 1.02-1.04 times one's time."""
+    else 1. Usable CPUs are the affinity mask, not a cgroup quota. README.md's threading
+    paragraph and CHANGES.md hold the timings behind both constants."""
     if samples < THREADED_SAMPLES:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, tasks, MAX_WORKERS, MAX_SAMPLES // samples))
 
 
-def _concurrently(calls: Sequence[Callable[[], object]],
-                  stop: Callable[[], None] | None = None) -> list:
-    """The results of ``calls``, in order: the first runs on the caller's thread and
-    each other on a thread of its own, in a copy of the caller's context (so under its
-    ``np.errstate``). Every thread is joined before this returns, also when the caller
-    is interrupted, which first calls ``stop`` so the calls can end early. A failure
+def _concurrently(calls: Sequence[Callable[[], object]], workers: int) -> list:
+    """The results of ``calls``, in order. Call i runs on thread i % ``workers``: thread 0
+    is the caller's, each other one runs in a copy of the caller's context (so under its
+    ``np.errstate``). No thread starts a call that comes after a failed call, or after
+    the caller is interrupted, and every thread is joined before this returns. A failure
     raises that of the first failing call, in call order."""
-    results, errors = [None] * len(calls), [None] * len(calls)
+    results, errors = [None] * len(calls), {}
+    last, lock = len(calls), threading.Lock()  # no call from index last on starts
 
-    def run(i: int) -> None:
-        try:
-            results[i] = calls[i]()
-        except BaseException as exc:  # re-raised below, on the caller's thread
-            errors[i] = exc
+    def run(worker: int) -> None:
+        nonlocal last
+        for i in range(worker, len(calls), workers):
+            if i >= last:
+                return
+            try:
+                results[i] = calls[i]()
+            # an interrupt of the caller's own call stops every thread below
+            except Exception if worker == 0 else BaseException as exc:
+                with lock:
+                    errors[i], last = exc, min(last, i)
+                return
 
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
-               for i in range(1, len(calls))]
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, worker))
+               for worker in range(1, min(workers, len(calls)))]
     try:
         for thread in threads:
             thread.start()
-        results[0] = calls[0]()
+        run(0)
         for thread in threads:
             thread.join()
     except BaseException:
-        if stop is not None:
-            stop()
+        with lock:
+            last = -1
         for thread in threads:
             if thread.is_alive():
                 thread.join()
         raise
-    for error in errors:
-        if error is not None:
-            raise error
+    if errors:
+        raise errors[min(errors)]
     return results
 
 
@@ -506,14 +492,12 @@ def rate_curve(cfgs: Iterable[SystemConfig], stats: ChannelStats,
     """``rate`` of each config, in order, over one shared draw of ``spec``.
 
     The caller's thread reads ``cfgs``, checks each config and computes its
-    gains, then makes one ``DrawSet`` per kernel thread. The points' kernels
-    are dealt round-robin to k = ``_worker_count`` threads by ``_concurrently``,
-    the caller's among them, each with its own set's scratch; k = 1 starts no
-    thread, and no thread outlives the call: an interrupted caller stops them at
-    their next point. Every estimate equals its standalone ``rate`` bit for bit,
-    and a failure raises what a loop of ``rate`` calls raises: that of the first
-    failing point, where an error from iterating ``cfgs`` counts as the point it
-    would have yielded.
+    gains, then makes one ``DrawSet`` per kernel thread; ``_concurrently`` deals
+    the points' kernels to k = ``_worker_count`` threads, point i with set i % k.
+    Every estimate equals its standalone ``rate`` bit for bit, and a failure
+    raises what a loop of ``rate`` calls raises: that of the first failing point,
+    where an error from iterating ``cfgs`` counts as the point it would have
+    yielded.
     """
     points, failure = [], None
     try:
@@ -521,36 +505,11 @@ def rate_curve(cfgs: Iterable[SystemConfig], stats: ChannelStats,
             points.append((cfg, _terms(cfg, stats, spec)))
     except Exception as exc:  # raised after the points before it are evaluated
         failure = exc
-    mc = spec.method is Method.MONTE_CARLO
-    workers = _worker_count(spec.samples, len(points)) if mc else 1
+    workers = _worker_count(spec.samples, len(points)) if spec.method is Method.MONTE_CARLO else 1
     sets = [DrawSet(spec) for _ in range(workers)] if points else []
-    moments, errors = [None] * len(points), {}
-    last, failed = len(points) - 1, threading.Lock()  # no point after a failed one is needed
-
-    def work(worker: int) -> None:
-        nonlocal last
-        for i in range(worker, len(points), workers):
-            if i > last:
-                return
-            try:
-                moments[i] = _kernels(points[i][1], spec, sets[worker])
-            except Exception as exc:  # a RuntimeWarning the caller's filters turned into one too
-                with failed:
-                    errors[i] = exc
-                    last = min(last, i)
-                return
-
-    def stop() -> None:  # an interrupted caller stops its threads at their next point
-        nonlocal last
-        with failed:
-            last = -1
-
-    _concurrently([partial(work, worker) for worker in range(workers)], stop)
-    estimates = []
-    for i, (cfg, terms) in enumerate(points):
-        if i in errors:
-            raise errors[i]
-        estimates.append(_estimate(cfg, spec, terms, moments[i]))
+    moments = _concurrently([partial(_kernels, terms, spec, sets[i % workers])
+                             for i, (_, terms) in enumerate(points)], workers)
+    estimates = [_estimate(cfg, spec, terms, m) for (cfg, terms), m in zip(points, moments)]
     if failure is not None:
         raise failure
     return estimates

@@ -145,6 +145,9 @@ class TestRateCommand:
             (["--ps", "60", "--pr", "40", "--sigma", "1,4,4", "--method", "gl"],
              "an AF rate needs Monte Carlo; Gauss-Laguerre covers only the DF schemes"),
             (["--ps", "60", "--pr", "40", "--sigma", "1,4,4", "--nodes", "187"], "nodes"),
+            # a block length beyond the exact floats is named, not a float conversion error
+            (["--m", str(10**400), "--ps", "60", "--pr", "40", "--sigma", "1,4,4"],
+             "m must be an even integer in [6, 9007199254740992], got 1000"),
         ]
         for extra, named in cases:
             code, _, err = run(capsys, *common, *extra)

@@ -80,7 +80,7 @@ class Int:
 NONNEG = Real()
 POSITIVE = Real(open_lo=True)
 FRACTION = Real(hi=1.0)
-BLOCK = Int(6, even=True)
+BLOCK = Int(6, 2**53, even=True)
 KEY = Int(0, 2**64 - 1)
 
 STATS = ChannelStats(1.0, 4.0, 4.0, 1.0)
@@ -206,8 +206,8 @@ def bad_values(rule) -> st.SearchStrategy:
         # integers stay near the range, so a broken check cannot ask for a huge allocation
         options += [st.just(rule.lo - 1), st.integers(rule.lo - 1000, rule.lo - 1), st.just(True),
                     st.just(float(rule.lo)), st.floats(rule.lo, top).filter(lambda v: v % 1)]
-        if rule.hi is not None:
-            options += [st.just(rule.hi + 1), st.integers(rule.hi + 1, rule.hi + 1000)]
+        if rule.hi is not None:  # just above, with the rule's parity
+            options += [st.just(rule.hi + 1 + rule.even), st.integers(rule.hi + 1, rule.hi + 1000)]
         if rule.even:
             options.append(st.integers(rule.lo, top).map(lambda k: k | 1).filter(
                 lambda k: rule.hi is None or k <= rule.hi))

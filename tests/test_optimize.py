@@ -198,8 +198,9 @@ class TestOptimalDeltaR:
             optimal_delta_r(50, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             optimal_delta_r(50, 100.0, -1.0, 1.0)
-        with pytest.raises(ValueError, match="for m=1000"):  # m too large for a float
-            optimal_delta_r(10**400, 100.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^m must be an even integer in "
+                                             r"\[6, 9007199254740992\], got 10{400}$"):
+            optimal_delta_r(10**400, 100.0, 1.0, 1.0)  # beyond the exact floats
 
     def test_training_share_shrinks_with_link_quality(self):
         # the fraction decreases monotonically and approaches the high-power

@@ -493,18 +493,23 @@ def test_oracle_uses_no_linalg():
 def test_only_concurrently_starts_threads():
     # rates._concurrently is the one place threads start, for the grid points and the
     # oracle's stages alike, so each joins them before it returns and a sweep's memory
-    # is its 3 + 4k arrays (tests/test_optimize.py bounds them); no module imports
-    # concurrent.futures ("futures"), which the CLI would pay for at start-up
-    importers = {path.stem for path in Path(relayrates.__file__).parent.glob("*.py")
-                 if "threading" in _imported_modules(path.stem)}
-    assert importers == {"rates"}
+    # is its 3 + 4k arrays (tests/test_optimize.py bounds them); it is also the one
+    # place that takes a lock or copies a context, so no caller keeps a dealing loop of
+    # its own. No module imports concurrent.futures ("futures"), which the CLI would
+    # pay for at start-up
+    for module in ("threading", "contextvars"):
+        importers = {path.stem for path in Path(relayrates.__file__).parent.glob("*.py")
+                     if module in _imported_modules(path.stem)}
+        assert importers == {"rates"}, module
     for path in Path(relayrates.__file__).parent.glob("*.py"):
         assert "futures" not in _imported_modules(path.stem), path.name
-        starters = {function.name for function in ast.walk(_parse(path.stem))
-                    if isinstance(function, ast.FunctionDef)
-                    for node in ast.walk(function)
-                    if isinstance(node, ast.Attribute) and node.attr == "Thread"}
-        assert starters == ({"_concurrently"} if path.stem == "rates" else set()), path.name
+        for attr in ("Thread", "Lock", "copy_context"):
+            users = {function.name for function in ast.walk(_parse(path.stem))
+                     if isinstance(function, ast.FunctionDef)
+                     for node in ast.walk(function)
+                     if isinstance(node, ast.Attribute) and node.attr == attr}
+            assert users == ({"_concurrently"} if path.stem == "rates" else set()), \
+                (path.name, attr)
 
 
 # SHA-256 per AF_ORACLE_CONFIGS entry over the float.hex of af_rate_logdet

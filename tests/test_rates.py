@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from relayrates import (
     snr_gain_g,
 )
 from relayrates.rates import (MAX_NODES, MAX_SAMPLES, MAX_WORKERS, THREADED_SAMPLES, DrawSet,
-                              _worker_count, rate, rate_curve, stream)
+                              _concurrently, _worker_count, rate, rate_curve, stream)
 from conftest import _cpus
 from test_contract import BLOCKS, FRACTIONS, log_uniform
 from test_preset_bytes import RECORDED_NUMPY
@@ -342,18 +343,32 @@ def _powers(count):
     return [_cfg(p_s=10.0 + i) for i in range(count)]
 
 
-def _fail_kernels(monkeypatch, cfgs, stats, bad):
-    """Make the kernels of the points at the indices ``bad`` raise an error naming the point."""
+def _fail_kernels(monkeypatch, cfgs, stats, bad, before=lambda i: None):
+    """Make the kernels of the points at the indices ``bad`` raise an error naming the point;
+    each kernel first calls ``before`` with the index of its point."""
     index = {tuple(relayrates.rates._gains(cfg, stats)): i for i, cfg in enumerate(cfgs)}
     original = relayrates.rates._kernels
 
     def kernels(terms, spec, draws):
         i = index.get(tuple(terms[0][2]))
+        before(i)
         if i in bad:
             raise ArithmeticError(f"kernel {i}")
         return original(terms, spec, draws)
 
     monkeypatch.setattr(relayrates.rates, "_kernels", kernels)
+
+
+def _joining(monkeypatch) -> threading.Event:
+    """An event set as soon as any thread is joined, before the join waits."""
+    joining, original = threading.Event(), threading.Thread.join
+
+    def join(thread, timeout=None):
+        joining.set()
+        return original(thread, timeout)
+
+    monkeypatch.setattr(threading.Thread, "join", join)
+    return joining
 
 
 def _raised(call):
@@ -444,6 +459,84 @@ class TestRateCurve:
         _fail_kernels(monkeypatch, cfgs, stats, bad)
         with pytest.raises(ArithmeticError, match=f"^kernel {min(bad)}$"):
             rate_curve(cfgs, stats, CURVE_SPEC)
+
+    @pytest.mark.parametrize("bad", [2, 3, 4, 5])
+    def test_no_point_after_a_failed_one_starts(self, monkeypatch, thread_starts, bad):
+        # with 2 workers the other thread holds point bad - 1; its kernel waits until the
+        # failing thread is done with its points (the caller joins, or the worker ends),
+        # and then no thread starts a point after bad
+        _cpus(monkeypatch, 2)
+        cfgs, stats = _powers(9), _stats()
+        started, joining = [], _joining(monkeypatch)
+
+        def before(i):
+            started.append(i)
+            if i == bad - 1 and bad % 2:  # on the caller's thread, the worker failing
+                thread_starts[0].join(10)
+            elif i == bad - 1:
+                assert joining.wait(10)
+
+        _fail_kernels(monkeypatch, cfgs, stats, {bad}, before)
+        with pytest.raises(ArithmeticError, match=f"^kernel {bad}$"):
+            rate_curve(cfgs, stats, CURVE_SPEC)
+        assert sorted(started) == list(range(bad + 1)) and not thread_starts[0].is_alive()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_concurrently_deals_call_i_to_thread_i_mod_k(self, thread_starts, workers):
+        ran_on = {}
+
+        def call(i):
+            ran_on[i] = threading.current_thread()
+            return i * i
+
+        assert _concurrently([partial(call, i) for i in range(7)], workers) == [
+            i * i for i in range(7)]
+        assert len(thread_starts) == workers - 1
+        assert not any(thread.is_alive() for thread in thread_starts)
+        threads = [threading.current_thread(), *thread_starts]
+        assert all(ran_on[i] is threads[i % workers] for i in range(7))
+        assert _concurrently([], workers) == [] and len(thread_starts) == workers - 1
+
+    def test_concurrently_under_a_short_switch_interval(self, thread_starts):
+        # 4 threads on fewer cores, switching every microsecond: each call runs once and
+        # keeps its result, and with failures every call before the first one still runs
+        runs, bad = [], set()
+
+        def call(i):
+            runs.append(i)
+            if i in bad:
+                raise ValueError(i)
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _concurrently([partial(call, i) for i in range(2000)], 4) == list(range(2000))
+            assert sorted(runs) == list(range(2000))
+            runs.clear()
+            bad.update({1203, 1201, 1500})
+            with pytest.raises(ValueError, match="^1201$"):
+                _concurrently([partial(call, i) for i in range(2000)], 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(range(1202)) <= set(runs) and len(runs) == len(set(runs))
+        assert len(thread_starts) == 6 and not any(t.is_alive() for t in thread_starts)
+
+    def test_concurrently_starts_no_call_after_an_interrupt(self, monkeypatch, thread_starts):
+        # the caller is interrupted in call 4 while the other thread holds call 1, which
+        # returns once the caller joins: call 3 comes before 4, yet it never starts
+        started, joining = [], _joining(monkeypatch)
+
+        def call(i):
+            started.append(i)
+            if i == 1:
+                assert joining.wait(10)
+            elif i == 4:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            _concurrently([partial(call, i) for i in range(9)], 2)
+        assert sorted(started) == [0, 1, 2, 4] and not thread_starts[0].is_alive()
 
     @pytest.mark.parametrize("source", ["config", "iterator"])
     @pytest.mark.parametrize("kernel, caller", [(5, 2), (1, 4), (3, 6), (6, 0), (2, 3)])
