@@ -161,8 +161,15 @@ def _expand(argv: list[str]) -> list[str]:
     return argv[:1] + preset_args + rest + named
 
 
+def _check_samples(samples) -> None:
+    # one sample has no standard error, so a Monte Carlo result would claim an error of 0
+    check_int("--samples", samples, 2, MAX_SAMPLES)
+
+
 def _expectation_spec(args) -> ExpectationSpec:
     method = Method.MONTE_CARLO if args.method == "mc" else Method.GAUSS_LAGUERRE
+    if method is Method.MONTE_CARLO:  # Gauss-Laguerre ignores --samples
+        _check_samples(args.samples)
     dims = 3 if method is Method.MONTE_CARLO else 2
     return ExpectationSpec(dims=dims, samples=args.samples, seed=args.seed,
                            method=method, nodes=args.nodes)
@@ -260,6 +267,7 @@ def cmd_sweep_sigma_rd(args) -> int:
 
 def cmd_optimal_training(args) -> int:
     # the search flags are checked whether or not --scheme runs the search
+    _check_samples(args.samples)
     spec = ExpectationSpec(dims=3, samples=args.samples, seed=args.seed)
     check_real("--delta-s", args.delta_s, hi=1.0)
     check_real("--delta-step", args.delta_step, hi=0.1, open_lo=True)
@@ -300,9 +308,9 @@ def cmd_verify(args) -> int:
     samples, seed = args.samples, args.seed
     combos = [(s2, d, m, p) for s2 in (0.25, 1.0, 4.0) for d in (0.05, 0.3)
               for (m, p) in ((10, 1.0), (50, 100.0))]
-    # checked before any sampling: one sample has no standard error to compare within,
-    # and case i of a check runs at seed + i, which must still be a 64-bit seed
-    check_int("--samples", samples, 2, MAX_SAMPLES)
+    # checked before any sampling: case i of a check runs at seed + i, which must still
+    # be a 64-bit seed
+    _check_samples(samples)
     check_int("--seed", seed, 0, 2**64 - max(len(combos), len(AF_ORACLE_CONFIGS)))
     specs = [ExpectationSpec(dims=3, samples=samples, seed=seed + i)
              for i in range(len(AF_ORACLE_CONFIGS))]

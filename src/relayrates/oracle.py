@@ -125,15 +125,17 @@ def vector_channel_samples(cfg: SystemConfig, stats: ChannelStats, seed: int, co
         np.multiply(relayed, h_sr[part], out=a[part, 1])
         # B = [[0, 1, 0], [relayed, 0, 1]], D = diag(ez_r, ez_d, ez_dr). Each product of
         # (B D) B^H is a complex constant or a vector built from `relayed`, summed over
-        # B's three columns in matmul's order, one entry of Cov at a time.
+        # B's three columns in matmul's order, one entry of Cov at a time, summed in a
+        # contiguous buffer and stored once: Cov's entries are 64 bytes apart.
         rows = ((0j, 1 + 0j, 0j), (relayed, 0j, 1 + 0j))
         bd = [[np.multiply(x, dk) for x, dk in zip(row, (ez_r, ez_d, ez_dr))] for row in rows]
         bh = [[np.conj(x) for x in row] for row in rows]
+        entry = np.empty(len(relayed), dtype=complex)
         for i, j in np.ndindex(2, 2):
-            entry = cov[part, i, j]
             np.multiply(bd[i][0], bh[j][0], out=entry)
             for k in (1, 2):
                 entry += bd[i][k] * bh[j][k]
+            cov[part, i, j] = entry
 
     parts = _parts(count, _worker_count(count, 2))
     _concurrently([partial(fill, part) for part in parts], len(parts))

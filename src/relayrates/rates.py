@@ -14,6 +14,10 @@ Monte Carlo draws invert counter-based Philox uniforms keyed by
 (seed, role) through numpy's vectorized ``log1p``, one uniform per draw, so
 sample i is the same in every context and identical seeds give identical
 draws for every scheme and every power split (common random numbers).
+``exp_draws`` re-keys its thread's one Philox generator on every call, about
+a ninth of the cost of building one; ``stream`` still builds a new generator
+per call, because a caller such as the oracle holds two at once and hands them
+to other threads.
 Threads and memory: ``_concurrently`` is the one place the package starts
 threads. It deals call i to thread i % k, the caller's thread among them: the
 point kernels of ``rate_curve`` and the oracle's stages, with k =
@@ -38,7 +42,7 @@ import enum
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -187,15 +191,29 @@ def stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Each thread's one Philox generator, re-keyed by every exp_draws call on that thread.
+_thread = threading.local()
+_ZEROS = (0, 0, 0, 0)
+
+
 def exp_draws(seed: int, tag: int, n: int) -> np.ndarray:
     """n draws of |w|^2 for w ~ CN(0, 1), i.e. exponential(1).
 
-    Inversion of the stream's uniforms, -log1p(-u), through numpy's
-    vectorized ``log1p`` in place: exactly one uniform per draw, so sample i
-    of a given (seed, tag) stream is the same value in every context.
+    Inversion of the uniforms of ``stream(seed, tag)``, -log1p(-u), through
+    numpy's vectorized ``log1p`` in place: exactly one uniform per draw, so
+    sample i of a given (seed, tag) stream is the same value in every context.
     """
     check_int("n", n, 0, MAX_SAMPLES)
-    u = stream(seed, tag).random(n)
+    check_int("seed", seed, 0, 2**64 - 1)
+    check_int("tag", tag, 0, 2**64 - 1)
+    gen = getattr(_thread, "gen", None)
+    if gen is None:  # the thread's first draw
+        gen = _thread.gen = np.random.Generator(np.random.Philox(key=0))
+    # the state stream(seed, tag) starts in: counter 0 and an empty buffer of 4 words
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": _ZEROS, "key": (seed, tag)},
+                               "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    u = gen.random(n)
     np.negative(u, out=u)
     np.log1p(u, out=u)
     return np.negative(u, out=u)
@@ -264,7 +282,7 @@ def _expectation(integrand: Callable[..., np.ndarray], coefficients: Sequence[fl
         values = np.asarray(integrand(*args), dtype=float)
         if values.shape != (n,):
             raise ValueError("integrand must map (n,) arrays to an (n,) array")
-        lo, hi = float(np.min(values)), float(np.max(values))
+        lo, hi = float(np.minimum.reduce(values)), float(np.maximum.reduce(values))
         # numpy's mean and std(ddof=1), ufunc for ufunc, with the deviations in
         # args[0]: the engine's own array, which values may be but need not be
         mean, std_error = float(np.add.reduce(values) / n), 0.0
@@ -275,8 +293,10 @@ def _expectation(integrand: Callable[..., np.ndarray], coefficients: Sequence[fl
     else:
         grids, weights = _laguerre_rule(spec.nodes, len(coefficients))
         values = np.asarray(integrand(*(c * g for c, g in zip(coefficients, grids))), dtype=float)
-        mean, std_error = float(np.sum(weights * values)), 0.0
-        lo, hi = float(np.min(values)), float(np.max(values))
+        # np.sum, np.min and np.max over every axis, ufunc for ufunc
+        mean, std_error = float(np.add.reduce(weights * values, axis=None)), 0.0
+        lo = float(np.minimum.reduce(values, axis=None))
+        hi = float(np.maximum.reduce(values, axis=None))
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
     if not (math.isfinite(mean) and lo - slack <= mean <= hi + slack):
         raise ArithmeticError(f"mean {mean} lies outside the sampled range [{lo}, {hi}]")
@@ -366,13 +386,17 @@ def f_combiner(x, y):
     return float(out) if out.ndim == 0 else out
 
 
+# Each link's (training fraction, power, fading) field names and its name in errors,
+# in stream-tag order
+_LINKS = tuple(((fraction, power, f"sigma_{link}"), f"{link} link") for link, fraction, power
+               in (("sd", "delta_s", "p_s"), ("sr", "delta_s", "p_s"), ("rd", "delta_r", "p_r")))
+
+
 def _gains(cfg: SystemConfig, stats: ChannelStats):
     """Per-link gain coefficients (sd, sr, rd); the config and stats validated the inputs."""
-    links = (("sd", "delta_s", "p_s"), ("sr", "delta_s", "p_s"), ("rd", "delta_r", "p_r"))
-    return tuple(_finite_gain(getattr(cfg, fraction), getattr(cfg, power),
-                              getattr(stats, f"sigma_{link}"), stats.n0, cfg.m,
-                              (fraction, power, f"sigma_{link}"), f"{link} link")
-                 for link, fraction, power in links)
+    return tuple(_finite_gain(getattr(cfg, names[0]), getattr(cfg, names[1]),
+                              getattr(stats, names[2]), stats.n0, cfg.m, names, link)
+                 for names, link in _LINKS)
 
 
 # Each scheme's rate is the least of its parts, (name, link tags, integrand). An
@@ -417,7 +441,9 @@ def _estimate(cfg: SystemConfig, spec: ExpectationSpec, terms: list,
     parts = {name: RateEstimate(prefactor * mean, prefactor * std_error, samples, spec.method)
              for (name, *_), (mean, std_error) in zip(terms, moments)}
     least = min(parts.values(), key=lambda r: r.value)
-    return replace(least, parts=parts) if len(parts) > 1 else least
+    if len(parts) == 1:
+        return least
+    return RateEstimate(least.value, least.std_error, samples, spec.method, parts)
 
 
 def rate(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec) -> RateEstimate:

@@ -68,8 +68,9 @@ class TestRateCommand:
         assert "binding=" in out_rep
 
     def test_gauss_laguerre_matches_library_value(self, capsys):
+        # quadrature ignores --samples, so even one sample, which Monte Carlo rejects
         code, out, _ = run(capsys, "rate", "--scheme", "df-par", *RATE_ARGS[3:],
-                           "--method", "gl", "--nodes", "32")
+                           "--method", "gl", "--nodes", "32", "--samples", "1")
         assert code == 0
         fields = dict(token.split("=") for token in out.split())
         expected = df_parallel_rate(
@@ -187,7 +188,7 @@ class TestSweepTheta:
         code, _, _ = run(capsys, "sweep-theta", "--scheme", "df-rep", "--p", "100",
                          "--m", "50", "--sigma", "1,4,4", "--delta-s", "0.1",
                          "--delta-r", "0.1", "--theta-step", "0.25", "--method", "gl",
-                         "--out", str(out))
+                         "--samples", "1", "--out", str(out))
         assert code == 0
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 5
@@ -378,6 +379,33 @@ def test_invalid_theta_step_is_one_error_line(tmp_path, capsys, monkeypatch, ste
                          "--theta-step", step, "--out", "x.csv")
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and named in err
+    assert list(tmp_path.iterdir()) == []
+
+
+TRAINING_ARGS = ["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1"]
+
+
+# one Monte Carlo sample has no standard error, so its result claimed an error of 0
+@pytest.mark.parametrize("argv", [
+    [*RATE_ARGS, "--samples", "1"],
+    ["rate", "--scheme", "df-par", *RATE_ARGS[3:], "--samples", "1"],
+    ["sweep-theta", "--preset", "fig4", "--samples", "1", "--out", "x.csv"],
+    ["sweep-theta", "--scheme", "df-rep", "--p", "100", "--m", "50", "--sigma", "1,4,4",
+     "--delta-s", "0.1", "--delta-r", "0.1", "--samples", "1", "--out", "x.csv"],
+    [*TRAINING_ARGS, "--samples", "1"],
+    [*TRAINING_ARGS, "--ps", "10", "--sigma-sd", "1", "--sigma-sr", "1", "--scheme", "df-par",
+     "--samples", "1"],
+])
+def test_one_monte_carlo_sample_is_one_error_line_before_any_draw(tmp_path, capsys,
+                                                                   monkeypatch, argv):
+    def forbidden(*args):
+        raise AssertionError("drew before checking --samples")
+
+    _rebind(monkeypatch, relayrates.rates.exp_draws, forbidden)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "wrote" not in out and "rate_nats" not in out
+    assert err == "error: --samples must be an integer in [2, 10000000], got 1\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -249,6 +250,67 @@ class TestExpDraws:
                 worst = max(worst, int(np.abs(ours.view(np.int64) - inv.view(np.int64)).max()))
         assert worst <= 1
 
+    def test_back_to_back_draws_equal_fresh_streams(self):
+        # each call re-keys the thread's one generator, so no odd-length draw, and no
+        # half-used 64-bit word of another draw, leaks into the next call's bits
+        keys = [(0, W_SD), (9, W_SR), (2**64 - 1, W_RD), (12345, 2**64 - 1)]
+        for n in (0, 1, 3, 5, 8191, 10**6):
+            for seed, tag in keys:
+                expected = -np.log1p(-stream(seed, tag).random(n))
+                assert exp_draws(seed, tag, n).tobytes() == expected.tobytes(), (seed, tag, n)
+                relayrates.rates._thread.gen.integers(0, 2**32, 1, dtype=np.uint32)
+
+    def test_each_thread_draws_its_own_serial_bits(self):
+        # four threads, each drawing its own odd-length stream, under a short switch interval
+        keys = [(3, W_SR), (4, W_RD), (5, W_SD), (2**64 - 1, W_SR)]
+        expected = [{exp_draws(seed, tag, 257).tobytes()} for seed, tag in keys]
+        got = [set() for _ in keys]
+        barrier = threading.Barrier(len(keys))
+
+        def draw(i):
+            barrier.wait()
+            for _ in range(500):
+                got[i].add(exp_draws(*keys[i], 257).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(keys))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_a_warm_rate_call_builds_no_generator(self, monkeypatch, scheme):
+        spec = ExpectationSpec(dims=3, samples=10_000, seed=4)
+        rate(_cfg(scheme=scheme), _stats(), spec)
+        built, philox = [], np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(args + tuple(kwargs.items()))
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        for seed in range(3):
+            rate(_cfg(scheme=scheme), _stats(), replace(spec, seed=seed))
+        assert built == []
+        fresh = threading.Thread(target=lambda: [rate(_cfg(scheme=scheme), _stats(), spec)
+                                                 for _ in range(2)])
+        fresh.start()
+        fresh.join(timeout=60)
+        assert not fresh.is_alive() and len(built) == 1  # a new thread builds its own generator once
+
+    def test_stream_still_builds_a_generator_per_call(self):
+        first, second = stream(3, W_SR), stream(3, W_SR)
+        assert first is not second and first.bit_generator is not second.bit_generator
+        assert first.random(3).tobytes() == second.random(3).tobytes()
+        assert first.random(5).tobytes() == second.random(5).tobytes()
+
     @pytest.mark.skipif(np.__version__ != RECORDED_NUMPY or platform.machine() != "x86_64",
                         reason=f"names the x86 CPU features of numpy {RECORDED_NUMPY}")
     def test_equals_generator_inversion_without_avx512_log1p(self):
@@ -319,12 +381,17 @@ class TestEngineOwnership:
                 alone.value, alone.std_error, alone.parts)
 
 
-@pytest.mark.parametrize("scheme, limit", [(Scheme.AF, 3.3e6), (Scheme.DF_REPETITION, 1.7e6),
-                                           (Scheme.DF_PARALLEL, 1.7e6)])
-def test_peak_memory_of_a_standalone_call(scheme, limit):
+@pytest.mark.parametrize("scheme, limit, samples", [
+    (Scheme.AF, 3.3e6, 100_000), (Scheme.DF_REPETITION, 1.7e6, 100_000),
+    (Scheme.DF_PARALLEL, 1.7e6, 100_000),
+    # the point workload's size, at the same limit per float
+    (Scheme.AF, 3.3e5, 10_000), (Scheme.DF_REPETITION, 1.7e5, 10_000),
+    (Scheme.DF_PARALLEL, 1.7e5, 10_000),
+])
+def test_peak_memory_of_a_standalone_call(scheme, limit, samples):
     # 10^5 floats are 0.8 MB: AF holds its three scaled draws and one denominator,
     # DF its two combining draws, and no call copies a draw or its deviations
-    spec = ExpectationSpec(dims=3, samples=100_000, seed=1)
+    spec = ExpectationSpec(dims=3, samples=samples, seed=1)
     rate(_cfg(scheme=scheme), _stats(), spec)
     tracemalloc.start()
     try:
