@@ -124,6 +124,14 @@ def _parse_sigma(text: str) -> tuple[float, float, float]:
     return _parse_float_list(text)
 
 
+def _check_out(paths: list[str]) -> None:
+    # before any rate, so a missing directory costs no sweep and leaves no file
+    for path in paths:
+        directory = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(directory):
+            raise ValueError(f"--out: directory {directory!r} of {path!r} does not exist")
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     # rows are fully computed before the file is opened, so a failure never leaves
     # a partial file behind; csv writes str(x), which is repr(x) for a float
@@ -206,15 +214,14 @@ def cmd_rate(args) -> int:
     return 0
 
 
-def _preset(args) -> Preset | None:
-    if args.preset is None:
-        return None
-    print(f"note: preset {args.preset}: {PRESETS[args.preset].comment}")
-    return PRESETS[args.preset]
+def _preset_note(args) -> None:
+    # printed once every value has passed, so a rejected run leaves stdout empty
+    if args.preset is not None:
+        print(f"note: preset {args.preset}: {PRESETS[args.preset].comment}")
 
 
 def cmd_sweep_theta(args) -> int:
-    preset = _preset(args)
+    preset = PRESETS.get(args.preset)
     scheme = Scheme(args.scheme)
     if args.sigma is not None or preset is None:
         if args.curve is not None:
@@ -234,6 +241,12 @@ def cmd_sweep_theta(args) -> int:
         closed_grid(0.0, 1.0, args.theta_step)
     except ValueError as exc:  # the grid's own message names its step, not the flag
         raise ValueError(f"--theta-step: {exc}") from None
+    if len(triples) == 1:
+        paths = [args.out]
+    else:
+        stem, ext = os.path.splitext(args.out)
+        paths = [f"{stem}_c{i + 1}{ext}" for i in range(len(triples))]
+    _check_out(paths)
     outputs = []
     for triple in triples:
         stats = ChannelStats(*triple, n0=args.n0)
@@ -244,11 +257,7 @@ def cmd_sweep_theta(args) -> int:
                 for theta, est in curve]
         outputs.append(rows)
 
-    if len(outputs) == 1:
-        paths = [args.out]
-    else:
-        stem, ext = os.path.splitext(args.out)
-        paths = [f"{stem}_c{i + 1}{ext}" for i in range(len(outputs))]
+    _preset_note(args)
     for path, rows in zip(paths, outputs):
         _write_csv(path, THETA_CSV_HEADER, rows)
         print(f"wrote {path} ({len(rows)} rows)")
@@ -256,10 +265,11 @@ def cmd_sweep_theta(args) -> int:
 
 
 def cmd_sweep_sigma_rd(args) -> int:
-    _preset(args)
+    _check_out([args.out])
     rows = [[sigma_rd, optimal_delta_r(args.m, p_r, sigma_rd, args.n0), p_r, args.m]
             for p_r in args.pr for sigma_rd in closed_grid(args.lo, args.hi, args.step)]
 
+    _preset_note(args)
     _write_csv(args.out, SIGMA_RD_CSV_HEADER, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

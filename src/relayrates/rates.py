@@ -28,7 +28,10 @@ thread rescales them into its own set's 4 scratch arrays, where the integrands
 compute in place, bit for bit what a standalone ``rate`` computes in its own
 4 arrays (AF) or 2 (DF). A sweep so holds 3 + 4k arrays of samples floats,
 never more than 3 + 4 of MAX_SAMPLES since k <= MAX_SAMPLES // samples, and
-keeps the 3 vectors after it returns.
+keeps the 3 vectors after it returns. The process also keeps the moments (two
+floats) of each distinct part of the last Monte Carlo curve, which
+``rate_curve`` evaluates once per curve, so a DF curve after the other DF
+scheme's, over one spec and equal source links, evaluates no relay decoding.
 Quadrature (weight: the exponential density) is one tensor Gauss-Laguerre
 rule over 1-D or 2-D expectations. The module also holds what the optimizer
 and the oracles share: ``rate``, ``closed_grid``, the search result and the
@@ -218,6 +221,10 @@ def exp_draws(seed: int, tag: int, n: int) -> np.ndarray:
     np.log1p(u, out=u)
     return np.negative(u, out=u)
 
+
+# The last Monte Carlo curve's part moments and what they hold under, which the next
+# curve of that spec reuses: (spec, np.geterr(), {part: (mean, std_error)}), or None.
+_last_moments: tuple[ExpectationSpec, dict, dict] | None = None
 
 # The last Monte Carlo spec drawn in this process and its three read-only vectors, which
 # every DrawSet of that spec shares: (spec, [w_sd, w_sr, w_rd]), or None before any draw.
@@ -415,14 +422,16 @@ PARTS = {
 
 def _terms(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec) -> list:
     """Checks ``cfg`` under ``spec`` and returns its parts as (name, integrand,
-    gains, link tags): all of a rate that runs before its kernels."""
+    gains, link tags): all of a rate that runs before its kernels. A part is
+    hashable, and equal parts have equal moments under one spec: a gain is never
+    -0.0, since each factor of the formula is >= +0.0, so equal gains are equal bits."""
     mc = spec.method is Method.MONTE_CARLO
     if not mc and cfg.scheme is Scheme.AF:
         raise ValueError("an AF rate needs Monte Carlo; Gauss-Laguerre covers only the DF schemes")
     dims = 3 if mc else 2  # all three magnitudes, or DF's two
     check_int(f"dims of a {spec.method.value} rate", spec.dims, dims, dims)
     gains = _gains(cfg, stats)
-    return [(name, integrand, [gains[tag] for tag in links], links)
+    return [(name, integrand, tuple(gains[tag] for tag in links), links)
             for name, links, integrand in PARTS[cfg.scheme]]
 
 
@@ -518,26 +527,48 @@ def rate_curve(cfgs: Iterable[SystemConfig], stats: ChannelStats,
     """``rate`` of each config, in order, over one shared draw of ``spec``.
 
     The caller's thread reads ``cfgs``, checks each config and computes its
-    gains, then makes one ``DrawSet`` per kernel thread; ``_concurrently`` deals
-    the points' kernels to k = ``_worker_count`` threads, point i with set i % k.
-    Every estimate equals its standalone ``rate`` bit for bit, and a failure
-    raises what a loop of ``rate`` calls raises: that of the first failing point,
-    where an error from iterating ``cfgs`` counts as the point it would have
-    yielded.
+    gains. It assigns each distinct part, a ``_terms`` entry, to the first point
+    that needs it, unless the last Monte Carlo curve of ``spec`` under the same
+    ``np.errstate`` holds its moments. If any part is left, it makes one
+    ``DrawSet`` per kernel thread and ``_concurrently`` deals the points' kernels
+    to k = ``_worker_count`` threads, point i with set i % k. Every estimate
+    equals its standalone ``rate`` bit for bit, and a failure raises what a loop
+    of ``rate`` calls raises: that of the first failing point, where an error
+    from iterating ``cfgs`` counts as the point it would have yielded. A Monte
+    Carlo curve that returns keeps its parts' moments for the next; any other
+    curve keeps none.
     """
+    global _last_moments
     points, failure = [], None
     try:
         for cfg in cfgs:
             points.append((cfg, _terms(cfg, stats, spec)))
     except Exception as exc:  # raised after the points before it are evaluated
         failure = exc
-    workers = _worker_count(spec.samples, len(points)) if spec.method is Method.MONTE_CARLO else 1
-    sets = [DrawSet(spec) for _ in range(workers)] if points else []
-    moments = _concurrently([partial(_kernels, terms, spec, sets[i % workers])
-                             for i, (_, terms) in enumerate(points)], workers)
-    estimates = [_estimate(cfg, spec, terms, m) for (cfg, terms), m in zip(points, moments)]
+    errstate, last = np.geterr(), _last_moments
+    _last_moments = None
+    kept = last[2] if last is not None and last[:2] == (spec, errstate) else {}
+    moments, assigned = {}, []  # every part's (mean, std_error); each point's new parts
+    for _, terms in points:
+        assigned.append([])
+        for term in terms:
+            if term not in moments:
+                moments[term] = kept.get(term)
+                if moments[term] is None:
+                    assigned[-1].append(term)
+    mc = spec.method is Method.MONTE_CARLO
+    if any(assigned):
+        workers = _worker_count(spec.samples, len(points)) if mc else 1
+        sets = [DrawSet(spec) for _ in range(workers)]
+        calls = [partial(_kernels, new, spec, sets[i % workers]) for i, new in enumerate(assigned)]
+        for new, got in zip(assigned, _concurrently(calls, workers)):
+            moments.update(zip(new, got))
+    estimates = [_estimate(cfg, spec, terms, [moments[term] for term in terms])
+                 for cfg, terms in points]
     if failure is not None:
         raise failure
+    if mc:
+        _last_moments = (spec, errstate, moments)
     return estimates
 
 

@@ -23,6 +23,13 @@ def _cpus(monkeypatch, count) -> None:
     monkeypatch.setattr(rates, "THREADED_SAMPLES", 1)
 
 
+@pytest.fixture(autouse=True)
+def no_kept_moments(monkeypatch):
+    """Each test starts with no curve's part moments kept in the process, so no
+    test's kernel counts or failures depend on the tests run before it."""
+    monkeypatch.setattr(rates, "_last_moments", None)
+
+
 @pytest.fixture
 def draw_calls(monkeypatch):
     """Count ``rates.exp_draws`` through every binding the package holds.

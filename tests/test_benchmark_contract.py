@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import _rebind
+from conftest import _cpus, _rebind
 
 import relayrates
 import relayrates.cli
@@ -50,23 +50,26 @@ def test_traced_functions_have_distinct_code():
 
 
 @pytest.mark.parametrize("scheme, name", sorted(_literal("worker", "_RATE_FN").items()))
-def test_each_traced_rate_alias_is_rate_bit_for_bit(scheme, name):
+def test_each_traced_rate_alias_is_rate_bit_for_bit(monkeypatch, scheme, name):
     # point times the aliases and the sweeps call rate, so both must give one value
-    cfg = relayrates.SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1,
-                                  scheme=relayrates.Scheme(scheme))
+    _cpus(monkeypatch, 2)
+    # distinct gains, so each point of the curve evaluates its own parts
+    cfgs = [relayrates.SystemConfig(m=50, p_s=60.0 + i, p_r=40.0, delta_s=0.1, delta_r=0.1,
+                                    scheme=relayrates.Scheme(scheme)) for i in range(4)]
     stats = relayrates.ChannelStats(1.0, 4.0, 4.0, 1.0)
     specs = [relayrates.ExpectationSpec(dims=3, samples=2000, seed=3)]
     if scheme != "af":
         specs.append(relayrates.ExpectationSpec(dims=2, method=relayrates.Method.GAUSS_LAGUERRE,
                                                 nodes=24))
     for spec in specs:
-        alias = getattr(relayrates, name)(cfg, stats, spec)
-        # standalone, and from a curve's shared draw on each of its kernel threads
-        for direct in (relayrates.rates.rate(cfg, stats, spec),
-                       *relayrates.rates.rate_curve([cfg] * 4, stats, spec)):
-            assert (alias.value.hex(), alias.std_error.hex()) == (direct.value.hex(),
-                                                                  direct.std_error.hex())
-            assert alias == direct and (alias.parts is None) == (scheme == "af")
+        curve = relayrates.rates.rate_curve(cfgs, stats, spec)
+        for cfg, shared in zip(cfgs, curve, strict=True):
+            alias = getattr(relayrates, name)(cfg, stats, spec)
+            # standalone, and from a curve's shared draw on each of its kernel threads
+            for direct in (relayrates.rates.rate(cfg, stats, spec), shared):
+                assert (alias.value.hex(), alias.std_error.hex()) == (direct.value.hex(),
+                                                                      direct.std_error.hex())
+                assert alias == direct and (alias.parts is None) == (scheme == "af")
 
 
 def test_worker_names_are_bound():

@@ -58,6 +58,23 @@ class TestRateCommand:
                             f"std_error={expected.std_error!r} "
                             f"samples=100000 seed=7 method=mc")
 
+    def test_package_runs_as_a_module(self):
+        # python -m relayrates from a checkout, with the source directory on the path
+        package_root = str(Path(relayrates.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "relayrates", *RATE_ARGS[:-4],
+                               "--samples", "2000", "--seed", "7"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        expected = af_rate(SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1,
+                                        scheme=Scheme.AF),
+                           ChannelStats(1.0, 4.0, 4.0, 1.0),
+                           ExpectationSpec(dims=3, samples=2000, seed=7))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (f"scheme=af rate_nats={expected.value!r} "
+                               f"std_error={expected.std_error!r} "
+                               f"samples=2000 seed=7 method=mc\n")
+
     def test_parallel_reports_at_least_repetition(self, capsys):
         base = RATE_ARGS[1:]
         _, out_rep, _ = run(capsys, "rate", "--scheme", "df-rep", *base[2:])
@@ -367,18 +384,44 @@ def test_invalid_training_input_is_one_error_line(tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("form", [
+    ["--scheme", "af", "--p", "100", "--m", "50", "--sigma", "1,4,4", "--delta-s", "0.1",
+     "--delta-r", "0.1"],
+    ["--preset", "fig4"],  # its note is printed only once every value has passed
+], ids=["flags", "preset"])
 @pytest.mark.parametrize("step, named", [
     ("0", "--theta-step must be"),
     ("2", "--theta-step must be"),
     ("1e-9", "--theta-step: step 1e-09 asks for"),
 ])
-def test_invalid_theta_step_is_one_error_line(tmp_path, capsys, monkeypatch, step, named):
+def test_invalid_theta_step_is_one_error_line(tmp_path, capsys, monkeypatch, step, named,
+                                              form):
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, "sweep-theta", "--scheme", "af", "--p", "100", "--m", "50",
-                         "--sigma", "1,4,4", "--delta-s", "0.1", "--delta-r", "0.1",
-                         "--theta-step", step, "--out", "x.csv")
+    code, out, err = run(capsys, "sweep-theta", *form, "--theta-step", step, "--out", "x.csv")
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and named in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-theta", "--scheme", "af", "--p", "100", "--m", "50", "--sigma", "1,4,4",
+     "--delta-s", "0.1", "--delta-r", "0.1"],
+    ["sweep-theta", "--preset", "fig4"],
+    ["sweep-theta", "--preset", "fig4", "--curve", "2"],
+    ["sweep-sigma-rd", "--preset", "fig1"],
+])
+def test_missing_out_directory_is_one_error_line_before_any_rate(tmp_path, capsys,
+                                                                  monkeypatch, argv):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    for original in (relayrates.rates.exp_draws, relayrates.cli.optimal_delta_r):
+        _rebind(monkeypatch, original, forbidden)
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, *argv, "--out", str(missing / "x.csv"))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: --out: directory {str(missing)!r} of ")
+    assert err.endswith(" does not exist\n") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -14,6 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 import relayrates
 import relayrates.cli
 from relayrates import (
+    COMBINING,
+    RELAY_DECODING,
     W_RD,
     W_SD,
     W_SR,
@@ -429,6 +431,8 @@ class TestCommonDraws:
                "joint_allocation": lambda: joint_allocation(100.0, STATS, 50, Scheme.AF,
                                                             MC_FULL, theta_step=0.1)}[sweep]
         run()
+        # the measured run evaluates every part again, over the kept draws
+        monkeypatch.setattr(relayrates.rates, "_last_moments", None)
         tracemalloc.start()
         try:
             run()
@@ -497,13 +501,14 @@ def test_joint_allocation_stops_at_a_failing_closed_form(monkeypatch, kernel, ra
         return original_delta(*args, **kwargs)
 
     def terms(*args):
-        # the caller's thread checks the points in grid order
+        # the caller's thread checks the points in grid order; an AF point's one part,
+        # which the kernels receive, names it
         result = original_terms(*args)
-        order[id(result)] = len(order)
+        order[result[0]] = len(order)
         return result
 
     def kernels(terms, spec, draws):
-        point = order[id(terms)]
+        point = order[terms[0]]
         evaluated.append(point)
         if point == kernel:
             raise ArithmeticError(f"kernel {point}")
@@ -594,14 +599,123 @@ class TestDrawMemo:
         assert sorted(args for args, _ in draw_calls) == STREAMS
 
 
+def _parts_run(monkeypatch) -> list:
+    """The names of the parts whose kernels run, from any thread, in the order they run."""
+    ran, original = [], relayrates.rates._kernels  # list.extend is atomic across threads
+
+    def kernels(terms, spec, draws):
+        ran.extend(name for name, *_ in terms)
+        return original(terms, spec, draws)
+
+    monkeypatch.setattr(relayrates.rates, "_kernels", kernels)
+    return ran
+
+
+class TestPartMoments:
+    """A curve evaluates each distinct part once, and the last Monte Carlo curve's part
+    moments serve the next curve of its spec; every point stays its standalone rate."""
+
+    @pytest.mark.parametrize("search", ["theta_sweep", "joint_allocation"])
+    def test_df_parallel_after_df_repetition_runs_no_relay_decoding(self, monkeypatch,
+                                                                    search):
+        _cpus(monkeypatch, 4)
+        ran = _parts_run(monkeypatch)
+        curves = {}
+        for scheme in (Scheme.DF_REPETITION, Scheme.DF_PARALLEL):
+            ran.clear()
+            if search == "theta_sweep":
+                curves[scheme] = [(theta, 0.1, 0.1, estimate) for theta, estimate in theta_sweep(
+                    100.0, STATS, 50, 0.1, 0.1, scheme, MC, grid_step=0.05)]
+            else:
+                curves[scheme] = [joint_allocation(100.0, STATS, 50, scheme, MC,
+                                                   theta_step=0.05)]
+            points = {"theta_sweep": 21, "joint_allocation": 41}[search]
+            # every point has its own source power or fraction, so its own relay decoding
+            assert (ran.count(RELAY_DECODING), ran.count(COMBINING)) == (
+                points if scheme is Scheme.DF_REPETITION else 0, points)
+        for scheme, curve in curves.items():
+            for theta, d_s, d_r, estimate in curve:
+                alone = _standalone(theta, d_s, d_r, scheme, MC)
+                assert (estimate.value.hex(), estimate.std_error.hex()) == (
+                    alone.value.hex(), alone.std_error.hex())
+                assert _bits(estimate) == _bits(alone)
+
+    def test_a_delta_r_search_runs_one_relay_decoding_kernel(self, monkeypatch, capsys):
+        # every grid point has the same source power and fraction, so one relay-decoding
+        # part; at delta_r = 0 and 1 the relay's gain is 0, so one combining part too
+        _cpus(monkeypatch, 4)
+        ran = _parts_run(monkeypatch)
+        code = relayrates.cli.main(["optimal-training", "--m", "50", "--pr", "40",
+                                    "--sigma-rd", "4", "--ps", "60", "--sigma-sd", "1",
+                                    "--sigma-sr", "4", "--scheme", "df-rep", "--seed", "53",
+                                    "--samples", "2000", "--delta-step", "0.01"])
+        out = capsys.readouterr().out
+        assert code == 0 and "evaluations=101" in out
+        assert (ran.count(RELAY_DECODING), ran.count(COMBINING)) == (1, 100)
+
+    def test_a_repeated_curve_runs_no_kernel(self, monkeypatch, draw_calls):
+        ran = _parts_run(monkeypatch)
+        first = theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.DF_PARALLEL, MC, grid_step=0.1)
+        kept = relayrates.rates._last_moments
+        assert kept[:2] == (MC, np.geterr()) and len(kept[2]) == len(ran) == 22
+        assert all(len(moments) == 2 for moments in kept[2].values())
+        ran.clear()
+        draw_calls.clear()
+        again = theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.DF_PARALLEL, MC, grid_step=0.1)
+        assert ran == [] and draw_calls == []
+        assert [(t, _bits(r)) for t, r in again] == [(t, _bits(r)) for t, r in first]
+
+    def test_parts_repeated_within_a_quadrature_curve_run_once(self, monkeypatch):
+        ran = _parts_run(monkeypatch)
+        cfg = SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1,
+                           scheme=Scheme.DF_REPETITION)
+        curve = rate_curve([cfg] * 3, STATS, GL)
+        assert ran == [RELAY_DECODING, COMBINING]
+        assert [_bits(e) for e in curve] == [_bits(rate(cfg, STATS, GL))] * 3
+
+    @pytest.mark.parametrize("between", ["new spec", "quadrature", "failed curve", "errstate"])
+    def test_only_the_last_curve_of_a_spec_serves_the_next(self, monkeypatch, between):
+        ran = _parts_run(monkeypatch)
+
+        def sweep(spec=MC):
+            return theta_sweep(100.0, STATS, 50, 0.1, 0.1, Scheme.DF_REPETITION, spec,
+                               grid_step=0.1)
+
+        def failing():
+            yield SystemConfig(m=50, p_s=60.0, p_r=40.0, delta_s=0.1, delta_r=0.1,
+                               scheme=Scheme.DF_REPETITION)
+            raise ValueError("no config 1")
+
+        first = sweep()
+        other = ExpectationSpec(dims=3, samples=2_000, seed=54)
+        if between == "new spec":
+            sweep(other)
+            assert relayrates.rates._last_moments[0] == other
+        elif between == "quadrature":
+            sweep(GL)
+            assert relayrates.rates._last_moments is None
+        elif between == "failed curve":
+            with pytest.raises(ValueError, match="^no config 1$"):
+                rate_curve(failing(), STATS, MC)
+            assert relayrates.rates._last_moments is None
+        else:
+            with np.errstate(under="raise"):
+                sweep()
+        ran.clear()
+        again = sweep()
+        assert (ran.count(RELAY_DECODING), ran.count(COMBINING)) == (11, 11)
+        assert [(t, _bits(r)) for t, r in again] == [(t, _bits(r)) for t, r in first]
+
+
 FAULT_PROBE = """
 import resource
-from relayrates import ChannelStats, ExpectationSpec, Scheme, theta_sweep
+from relayrates import ChannelStats, ExpectationSpec, Scheme, rates, theta_sweep
 
 stats = ChannelStats(1.0, 4.0, 4.0, 1.0)
 spec = ExpectationSpec(dims=3, samples=100_000, seed=53)
 for scheme in Scheme:
     theta_sweep(100.0, stats, 50, 0.1, 0.1, scheme, spec, grid_step=0.05)
+    rates._last_moments = None  # every part runs again, over the kept draws
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     curve = theta_sweep(100.0, stats, 50, 0.1, 0.1, scheme, spec, grid_step=0.05)
     after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

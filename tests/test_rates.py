@@ -470,13 +470,17 @@ class TestRateCurve:
 
     def test_one_worker_starts_no_thread(self, monkeypatch, thread_starts):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # each MC curve drops the last one's moments first, so its every point has a kernel
         rate_curve(_powers(5), _stats(), CURVE_SPEC)  # below THREADED_SAMPLES
         _cpus(monkeypatch, 1)
+        monkeypatch.setattr(relayrates.rates, "_last_moments", None)
         rate_curve(_powers(5), _stats(), CURVE_SPEC)
         gl = ExpectationSpec(dims=2, method=Method.GAUSS_LAGUERRE, nodes=16)
         _cpus(monkeypatch, 4)
-        rate_curve([_cfg(scheme=Scheme.DF_PARALLEL)] * 5, _stats(), gl)
+        rate_curve([_cfg(scheme=Scheme.DF_PARALLEL, p_s=10.0 + i) for i in range(5)], _stats(),
+                   gl)
         assert thread_starts == []
+        monkeypatch.setattr(relayrates.rates, "_last_moments", None)
         rate_curve(_powers(3), _stats(), CURVE_SPEC)  # the caller is the other worker
         assert len(thread_starts) == 1 and not any(t.is_alive() for t in thread_starts)
 
@@ -640,6 +644,25 @@ class TestRateCurve:
         with np.errstate(under="ignore"):
             assert rate_curve(cfgs, stats, CURVE_SPEC)[index] == rate(cfgs[index], stats,
                                                                       CURVE_SPEC)
+
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_a_shared_part_fails_as_the_first_point_using_it(self, monkeypatch, first):
+        # the points from ``first`` on share one relay-decoding part, whose squared
+        # deviations underflow: point ``first`` evaluates it, on thread first % 2
+        _cpus(monkeypatch, 4)
+        stats = _stats()
+        cfgs = [_cfg(scheme=Scheme.DF_REPETITION, p_s=1e-100 if i >= first else 60.0,
+                     delta_r=0.05 * (i + 1)) for i in range(6)]
+        with np.errstate(under="raise"):
+            serial = _raised(lambda: [rate(cfg, stats, CURVE_SPEC) for cfg in cfgs])
+            assert _raised(lambda: rate_curve(cfgs, stats, CURVE_SPEC)) == serial
+            with pytest.raises(FloatingPointError):
+                rate(cfgs[first], stats, CURVE_SPEC)
+            rate(cfgs[first - 1], stats, CURVE_SPEC)
+        assert serial == (FloatingPointError, "underflow encountered in multiply")
+        with np.errstate(under="ignore"):
+            assert rate_curve(cfgs, stats, CURVE_SPEC) == [rate(cfg, stats, CURVE_SPEC)
+                                                            for cfg in cfgs]
 
     @pytest.mark.parametrize("index", [1, 3])
     def test_a_warning_made_an_error_propagates_from_a_thread(self, monkeypatch, index):
