@@ -20,6 +20,7 @@ import argparse
 import csv
 import math
 import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field
@@ -124,19 +125,50 @@ def _parse_sigma(text: str) -> tuple[float, float, float]:
     return _parse_float_list(text)
 
 
-def _check_out(paths: list[str]) -> None:
-    # before any rate, so a missing directory costs no sweep and leaves no file
-    for path in paths:
+def _out_paths(out: str, files: int) -> list[str]:
+    """The paths of ``files`` CSVs named by ``--out``: ``out`` itself for one file, else
+    ``out`` with ``_c1``, ``_c2``, ... ahead of its extension. They are checked before
+    any rate, so a path that cannot be a file costs no sweep and leaves no file."""
+    stem, ext = os.path.splitext(out)
+    paths = [out] if files == 1 else [f"{stem}_c{i + 1}{ext}" for i in range(files)]
+    for path in [out, *paths]:
         directory = os.path.dirname(path) or os.curdir
+        if not path or os.path.isdir(path):
+            raise ValueError(f"--out: {path!r} is a directory" if path else "--out is empty")
         if not os.path.isdir(directory):
             raise ValueError(f"--out: directory {directory!r} of {path!r} does not exist")
+    return paths
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    # rows are fully computed before the file is opened, so a failure never leaves
-    # a partial file behind; csv writes str(x), which is repr(x) for a float
-    with open(path, "w", newline="") as handle:
-        csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+def _write_csvs(header: list[str], outputs: dict[str, list[list]], preset: str | None) -> None:
+    """Write each ``outputs`` path's rows under ``header``, or no file at all.
+
+    Each CSV goes to a temporary file beside its target (through a symlink, as
+    ``open(path, "w")`` writes), created as that open would create it and given an
+    existing target's mode. Only once every file is written are they moved into
+    place and the preset's note and the ``wrote`` lines printed; a failure removes
+    the temporary files and prints nothing. csv writes str(x), repr(x) for a float.
+    """
+    moves = []
+    try:
+        for path, rows in outputs.items():
+            target = os.path.realpath(path)
+            with open(f"{target}.{os.getpid()}.tmp", "x", newline="") as handle:
+                moves.append((handle.name, target))
+                csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+            if os.path.exists(target):
+                shutil.copymode(target, handle.name)
+        for temp, target in moves:
+            os.replace(temp, target)
+    except BaseException:
+        for temp, _ in moves:
+            if os.path.exists(temp):
+                os.remove(temp)
+        raise
+    if preset is not None:
+        print(f"note: preset {preset}: {PRESETS[preset].comment}")
+    for path, rows in outputs.items():
+        print(f"wrote {path} ({len(rows)} rows)")
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -214,12 +246,6 @@ def cmd_rate(args) -> int:
     return 0
 
 
-def _preset_note(args) -> None:
-    # printed once every value has passed, so a rejected run leaves stdout empty
-    if args.preset is not None:
-        print(f"note: preset {args.preset}: {PRESETS[args.preset].comment}")
-
-
 def cmd_sweep_theta(args) -> int:
     preset = PRESETS.get(args.preset)
     scheme = Scheme(args.scheme)
@@ -241,37 +267,23 @@ def cmd_sweep_theta(args) -> int:
         closed_grid(0.0, 1.0, args.theta_step)
     except ValueError as exc:  # the grid's own message names its step, not the flag
         raise ValueError(f"--theta-step: {exc}") from None
-    if len(triples) == 1:
-        paths = [args.out]
-    else:
-        stem, ext = os.path.splitext(args.out)
-        paths = [f"{stem}_c{i + 1}{ext}" for i in range(len(triples))]
-    _check_out(paths)
-    outputs = []
-    for triple in triples:
+    outputs = {}
+    for path, triple in zip(_out_paths(args.out, len(triples)), triples):
         stats = ChannelStats(*triple, n0=args.n0)
         curve = theta_sweep(args.p, stats, args.m, args.delta_s, args.delta_r, scheme, spec,
                             grid_step=args.theta_step)
-        rows = [[theta, est.value, est.std_error, args.scheme, *triple, args.p, args.m,
-                 args.delta_s, args.delta_r, args.seed]
-                for theta, est in curve]
-        outputs.append(rows)
-
-    _preset_note(args)
-    for path, rows in zip(paths, outputs):
-        _write_csv(path, THETA_CSV_HEADER, rows)
-        print(f"wrote {path} ({len(rows)} rows)")
+        outputs[path] = [[theta, est.value, est.std_error, args.scheme, *triple, args.p,
+                          args.m, args.delta_s, args.delta_r, args.seed]
+                         for theta, est in curve]
+    _write_csvs(THETA_CSV_HEADER, outputs, args.preset)
     return 0
 
 
 def cmd_sweep_sigma_rd(args) -> int:
-    _check_out([args.out])
+    _out_paths(args.out, 1)
     rows = [[sigma_rd, optimal_delta_r(args.m, p_r, sigma_rd, args.n0), p_r, args.m]
             for p_r in args.pr for sigma_rd in closed_grid(args.lo, args.hi, args.step)]
-
-    _preset_note(args)
-    _write_csv(args.out, SIGMA_RD_CSV_HEADER, rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    _write_csvs(SIGMA_RD_CSV_HEADER, {args.out: rows}, args.preset)
     return 0
 
 
@@ -309,14 +321,9 @@ def cmd_optimal_training(args) -> int:
     return 0
 
 
-def _check(name: str, ok: bool, detail: str, lines: list[str]) -> bool:
-    lines.append(f"{'pass' if ok else 'FAIL':<7}{name:<35}{detail}")
-    return ok
-
-
 def cmd_verify(args) -> int:
     samples, seed = args.samples, args.seed
-    combos = [(s2, d, m, p) for s2 in (0.25, 1.0, 4.0) for d in (0.05, 0.3)
+    combos = [(math.sqrt(s2), d, m, p) for s2 in (0.25, 1.0, 4.0) for d in (0.05, 0.3)
               for (m, p) in ((10, 1.0), (50, 100.0))]
     # checked before any sampling: case i of a check runs at seed + i, which must still
     # be a 64-bit seed
@@ -325,60 +332,52 @@ def cmd_verify(args) -> int:
     specs = [ExpectationSpec(dims=3, samples=samples, seed=seed + i)
              for i in range(len(AF_ORACLE_CONFIGS))]
     started = time.monotonic()
-    lines: list[str] = []
-    all_ok = True
+
+    def counted(name: str, misses: list[bool], within: str) -> tuple[str, bool, str]:
+        # the row of a check over cases, which passes if no case misses its tolerance
+        return name, not any(misses), f"{len(misses) - sum(misses)}/{len(misses)} {within}"
 
     # 1. symbol-level pilot simulation vs. the closed-form variance split
     # Sidak (1967): the z that gives a correct build a 1e-3 chance of a FAIL in 17 comparisons
     from statistics import NormalDist  # only verify needs it
     z = NormalDist().inv_cdf((1.0 + (1.0 - 1e-3) ** (1.0 / (len(combos) + len(specs)))) / 2.0)
-    bad = 0
-    for i, (s2, d, m, p) in enumerate(combos):
-        sigma = math.sqrt(s2)
+    trained = []
+    for i, (sigma, d, m, p) in enumerate(combos):
         expected = mmse_quality(sigma, d, m, p, 1.0)
         measured = simulate_training_quality(sigma, d, m, p, 1.0, samples, seed + i)
-        tol = z * expected.var_error / math.sqrt(samples)
-        if abs(measured.var_error - expected.var_error) > tol:
-            bad += 1
-    all_ok &= _check("training-sim-vs-closed-form", bad == 0,
-                     f"{len(combos) - bad}/{len(combos)} combos within {z:.2f} SE", lines)
+        trained.append(abs(measured.var_error - expected.var_error)
+                       > z * expected.var_error / math.sqrt(samples))
 
     # 2. scalar rate vs. matrix log-det route, and the per-draw identity
-    bad = 0
-    worst_gap = 0.0
+    routes, gaps = [], []
     for (m, ps, pr, ds, dr, sigma, n0), spec in zip(AF_ORACLE_CONFIGS, specs):
         stats = ChannelStats(*sigma, n0=n0)
         cfg = SystemConfig(m=m, p_s=ps, p_r=pr, delta_s=ds, delta_r=dr, scheme=Scheme.AF)
-        scalar = af_rate(cfg, stats, spec)
-        matrix = af_rate_logdet(cfg, stats, spec)
-        tol = z * math.hypot(scalar.std_error, matrix.std_error)
-        if abs(scalar.value - matrix.value) > tol:
-            bad += 1
-        worst_gap = max(worst_gap, max_identity_gap(cfg, stats, spec.seed, 200))
-    all_ok &= _check("logdet-vs-scalar-af", bad == 0,
-                     f"{len(specs) - bad}/{len(specs)} configs within {z:.2f} SE", lines)
-    all_ok &= _check("per-draw-identity", worst_gap <= 1e-9,
-                     f"max relative gap {worst_gap:.3e}", lines)
+        scalar, matrix = af_rate(cfg, stats, spec), af_rate_logdet(cfg, stats, spec)
+        routes.append(abs(scalar.value - matrix.value)
+                      > z * math.hypot(scalar.std_error, matrix.std_error))
+        gaps.append(max_identity_gap(cfg, stats, spec.seed, 200))
 
     # 3. closed-form training fraction vs. brute-force grid search
-    bad = 0
+    searched = []
     for m, snr in DELTA_R_CASES:
         closed = optimal_delta_r(m, snr, 1.0, 1.0)
-        gridded = grid_argmax(
-            lambda a, m=m, snr=snr: snr_gain_g_coefficient(a, snr, 1.0, 1.0, m),
-            0.0, 1.0, 1e-4,
-        )
-        if abs(closed - gridded.argument) > 1e-3:
-            bad += 1
-    all_ok &= _check("delta-r-closed-vs-grid", bad == 0,
-                     f"{len(DELTA_R_CASES) - bad}/{len(DELTA_R_CASES)} cases within 1e-3", lines)
+        gridded = grid_argmax(lambda a, m=m, snr=snr: snr_gain_g_coefficient(a, snr, 1.0, 1.0, m),
+                              0.0, 1.0, 1e-4)
+        searched.append(abs(closed - gridded.argument) > 1e-3)
 
+    worst_gap = max(0.0, *gaps)
+    rows = [counted("training-sim-vs-closed-form", trained, f"combos within {z:.2f} SE"),
+            counted("logdet-vs-scalar-af", routes, f"configs within {z:.2f} SE"),
+            ("per-draw-identity", worst_gap <= 1e-9, f"max relative gap {worst_gap:.3e}"),
+            counted("delta-r-closed-vs-grid", searched, "cases within 1e-3")]
+    passed = all(ok for _, ok, _ in rows)
     print(f"{'status':<7}{'check':<35}detail")
-    for line in lines:
-        print(line)
-    print(f"verify {'passed' if all_ok else 'FAILED'} in {time.monotonic() - started:.1f}s "
+    for name, ok, detail in rows:
+        print(f"{'pass' if ok else 'FAIL':<7}{name:<35}{detail}")
+    print(f"verify {'passed' if passed else 'FAILED'} in {time.monotonic() - started:.1f}s "
           f"(samples={samples}, seed={seed})")
-    return 0 if all_ok else 1
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

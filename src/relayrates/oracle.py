@@ -14,10 +14,11 @@ positive definite is an error. Agreement between the two routes is the primary
 correctness check of the package; disagreement beyond sampling noise is a bug.
 
 The stages that ``rates._concurrently`` deals to threads draw independent
-(seed, role) streams or work elementwise on parts of the sample axis, and every
-reduction (each mean, the standard error, the max and each positive-definite
-verdict) is one whole-array call, so every output bit is what one thread gives.
-The traced public functions run on the caller's thread.
+(seed, role) streams, or work elementwise on the consecutive parts of the
+sample axis that ``rates._over_parts`` cuts, one part a thread. Every reduction
+(each mean, the standard error, the max and each positive-definite verdict) is
+one whole-array call, so every output bit is what one thread gives. The traced
+public functions run on the caller's thread.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .rates import (
     RateEstimate,
     _concurrently,
     _grid_array,
+    _over_parts,
     _worker_count,
     f_combiner,
     stream,
@@ -59,11 +61,6 @@ def _complex_normal(gen: np.random.Generator, variance: float, n: int) -> np.nda
     np.multiply(gen.standard_normal(n), scale, out=out.real)
     np.multiply(gen.standard_normal(n), scale, out=out.imag)
     return out
-
-
-def _parts(n: int, workers: int) -> list[slice]:
-    """``workers`` slices that split an axis of length ``n`` into consecutive parts."""
-    return [slice(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
 
 
 def simulate_training_quality(sigma: float, delta: float, m: int, p: float, n0: float,
@@ -137,8 +134,7 @@ def vector_channel_samples(cfg: SystemConfig, stats: ChannelStats, seed: int, co
                 entry += bd[i][k] * bh[j][k]
             cov[part, i, j] = entry
 
-    parts = _parts(count, _worker_count(count, 2))
-    _concurrently([partial(fill, part) for part in parts], len(parts))
+    _over_parts(fill, count)
     return (h_sd, h_sr, h_rd), beta, a, cov, (ex_s, ex_r, ez_r, ez_d, ez_dr)
 
 
@@ -161,7 +157,6 @@ def logdet_integrand(signal_energy: float, a: np.ndarray, cov: np.ndarray) -> np
     if a.shape != (n, 2) or cov.shape != (n, 2, 2):
         raise ValueError(f"A of shape {a.shape} and Cov of shape {cov.shape} are not "
                          f"(n, 2) and (n, 2, 2)")
-    parts = _parts(n, _worker_count(n, 2))  # one part a thread
     l00 = _pivot_sqrt(cov[:, 0, 0].real)
     l10, pivot, out = np.empty(n, dtype=complex), np.empty(n), np.empty(n)
 
@@ -177,9 +172,9 @@ def logdet_integrand(signal_energy: float, a: np.ndarray, cov: np.ndarray) -> np
         energy = w0.real ** 2 + w0.imag ** 2 + (w1.real ** 2 + w1.imag ** 2)
         np.log1p(signal_energy * energy, out=out[part])
 
-    _concurrently([partial(lower, part) for part in parts], len(parts))
+    _over_parts(lower, n)
     l11 = _pivot_sqrt(pivot)  # each verdict is one whole-array check, as on one thread
-    _concurrently([partial(whitened, part) for part in parts], len(parts))
+    _over_parts(whitened, n)
     return out
 
 

@@ -522,6 +522,13 @@ def _concurrently(calls: Sequence[Callable[[], object]], workers: int) -> list:
     return results
 
 
+def _over_parts(fn: Callable[[slice], object], n: int) -> list:
+    """``fn`` of each of k = ``_worker_count(n, 2)`` consecutive slices that cover
+    range(n), through ``_concurrently``: part j runs on thread j."""
+    k = _worker_count(n, 2)
+    return _concurrently([partial(fn, slice(n * j // k, n * (j + 1) // k)) for j in range(k)], k)
+
+
 def rate_curve(cfgs: Iterable[SystemConfig], stats: ChannelStats,
                spec: ExpectationSpec) -> list[RateEstimate]:
     """``rate`` of each config, in order, over one shared draw of ``spec``.

@@ -26,7 +26,7 @@ from relayrates import (
     joint_allocation,
     optimal_delta_r,
 )
-from relayrates.cli import THETA_CSV_HEADER, _expand, _write_csv, build_parser, main
+from relayrates.cli import THETA_CSV_HEADER, _expand, _write_csvs, build_parser, main
 from relayrates.rates import rate
 from conftest import _rebind
 from test_preset_bytes import recorded_build
@@ -412,17 +412,88 @@ def test_invalid_theta_step_is_one_error_line(tmp_path, capsys, monkeypatch, ste
 ])
 def test_missing_out_directory_is_one_error_line_before_any_rate(tmp_path, capsys,
                                                                   monkeypatch, argv):
+    # so is an --out that is empty or a directory, whichever names the files
     def forbidden(*args, **kwargs):
         raise AssertionError("computed before checking --out")
 
     for original in (relayrates.rates.exp_draws, relayrates.cli.optimal_delta_r):
         _rebind(monkeypatch, original, forbidden)
-    missing = tmp_path / "missing"
+    missing, folder = tmp_path / "missing", tmp_path / "folder"
+    folder.mkdir()
+    monkeypatch.chdir(folder)
+    for directory in (str(folder), ".", "/"):
+        code, out, err = run(capsys, *argv, "--out", directory)
+        assert (code, out, err) == (1, "", f"error: --out: {directory!r} is a directory\n")
+    code, out, err = run(capsys, *argv, "--out", "")
+    assert (code, out, err) == (1, "", "error: --out is empty\n")
     code, out, err = run(capsys, *argv, "--out", str(missing / "x.csv"))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: --out: directory {str(missing)!r} of ")
     assert err.endswith(" does not exist\n") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [folder] and list(folder.iterdir()) == []
+
+
+def test_a_later_curve_path_that_is_a_directory_is_one_error_line_before_any_rate(
+        tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    _rebind(monkeypatch, relayrates.rates.exp_draws, forbidden)
+    (tmp_path / "x_c3.csv").mkdir()
+    code, out, err = run(capsys, "sweep-theta", "--preset", "fig2", "--out",
+                         str(tmp_path / "x.csv"))
+    assert (code, out) == (1, "")
+    assert err == f"error: --out: {str(tmp_path / 'x_c3.csv')!r} is a directory\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["x_c3.csv"]
+
+
+def test_a_failed_write_leaves_no_file_and_prints_nothing(tmp_path, capsys, monkeypatch):
+    # the third of four curves fails to write after the first two are written: no
+    # curve is moved into place, every temporary file is removed and stdout stays empty
+    opened = []
+
+    def failing_open(file, *args, **kwargs):
+        opened.append(os.path.basename(file))
+        if "x_c3.csv" in opened[-1]:
+            raise OSError(f"cannot write {file}")
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(relayrates.cli, "open", failing_open, raising=False)
+    argv = ["sweep-theta", "--preset", "fig2", "--samples", "2000", "--theta-step", "0.1",
+            "--out", str(tmp_path / "x.csv")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert [name.split(".")[0] for name in opened] == ["x_c1", "x_c2", "x_c3"]
     assert list(tmp_path.iterdir()) == []
+    # and a file the failed run would have replaced keeps its bytes
+    (tmp_path / "x_c1.csv").write_text("kept\n")
+    assert run(capsys, *argv)[:2] == (1, "")
+    assert [(path.name, path.read_text()) for path in tmp_path.iterdir()] == [
+        ("x_c1.csv", "kept\n")]
+
+
+def test_files_are_written_with_the_mode_open_gives(tmp_path, capsys):
+    # a new file as open(path, "w") creates it, and an existing one keeps its mode
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("stale\n")
+    old.chmod(0o640)
+    reference = tmp_path / "reference"
+    with open(reference, "w"):
+        pass
+    _write_csvs(["h"], {str(old): [[1]], str(new): [[2]]}, None)
+    assert capsys.readouterr().out == f"wrote {old} (1 rows)\nwrote {new} (1 rows)\n"
+    assert (old.read_text(), new.read_text()) == ("h\n1\n", "h\n2\n")
+    assert old.stat().st_mode == reference.stat().st_mode & ~0o777 | 0o640
+    assert new.stat().st_mode == reference.stat().st_mode
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["new.csv", "old.csv",
+                                                                "reference"]
+    # as open(path, "w") does, a symlink's target gets the rows and the link stays
+    link = tmp_path / "link.csv"
+    link.symlink_to(old)
+    _write_csvs(["h"], {str(link): [[3]]}, None)
+    assert link.is_symlink() and old.read_text() == "h\n3\n"
+    assert old.stat().st_mode == reference.stat().st_mode & ~0o777 | 0o640
 
 
 TRAINING_ARGS = ["optimal-training", "--m", "50", "--pr", "10", "--sigma-rd", "1"]
@@ -694,10 +765,11 @@ class TestArgumentFile:
             assert "--config" not in parser._option_string_actions, command
 
 
-def test_csv_cells_are_repr_per_float_and_str_otherwise(tmp_path):
+def test_csv_cells_are_repr_per_float_and_str_otherwise(tmp_path, capsys):
     row = [5e-324, 1e-20, 0.30000000000000004, 1.2345678901234568e+17, 1e+300, 1.0, 7, "af"]
     path = tmp_path / "cells.csv"
-    _write_csv(str(path), ["h"], [row])
+    _write_csvs(["h"], {str(path): [row]}, None)
+    assert capsys.readouterr().out == f"wrote {path} (1 rows)\n"
     expected = ",".join([*map(repr, row[:6]), "7", "af"])
     assert expected == "5e-324,1e-20,0.30000000000000004,1.2345678901234568e+17,1e+300,1.0,7,af"
     assert path.read_bytes() == f"h\n{expected}\n".encode()

@@ -40,7 +40,8 @@ from relayrates import (
     snr_gain_g,
 )
 from relayrates.rates import (MAX_NODES, MAX_SAMPLES, MAX_WORKERS, THREADED_SAMPLES, DrawSet,
-                              _concurrently, _worker_count, rate, rate_curve, stream)
+                              _concurrently, _over_parts, _worker_count, rate, rate_curve,
+                              stream)
 from conftest import _cpus
 from test_contract import BLOCKS, FRACTIONS, log_uniform
 from test_preset_bytes import RECORDED_NUMPY
@@ -608,6 +609,37 @@ class TestRateCurve:
         with pytest.raises(KeyboardInterrupt):
             _concurrently([partial(call, i) for i in range(9)], 2)
         assert sorted(started) == [0, 1, 2, 4] and not thread_starts[0].is_alive()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 3, 10**5])
+    def test_over_parts_runs_part_j_on_thread_j(self, monkeypatch, thread_starts, cpus, n):
+        # k consecutive slices that cover range(n) exactly once, k = _worker_count(n, 2)
+        _cpus(monkeypatch, cpus)
+        k = _worker_count(n, 2)
+        assert k == (1 if cpus == 1 or n == 0 else 2)
+        ran_on = []
+
+        def part(piece: slice) -> range:
+            ran_on.append((piece, threading.current_thread()))
+            return range(n)[piece]
+
+        pieces = _over_parts(part, n)
+        assert [i for piece in pieces for i in piece] == list(range(n)) and len(pieces) == k
+        assert len(thread_starts) == k - 1 and not any(t.is_alive() for t in thread_starts)
+        threads = [threading.current_thread(), *thread_starts]
+        assert sorted(ran_on, key=lambda run: (run[0].start, run[0].stop)) == [
+            (slice(n * j // k, n * (j + 1) // k), threads[j]) for j in range(k)]
+
+    @pytest.mark.parametrize("failing", [{0}, {1}, {0, 1}])
+    def test_over_parts_raises_what_concurrently_raises(self, monkeypatch, failing):
+        _cpus(monkeypatch, 2)
+
+        def part(piece: slice) -> None:
+            if piece.start // 5 in failing:
+                raise ValueError(f"part {piece.start // 5}")
+
+        with pytest.raises(ValueError, match=f"^part {min(failing)}$"):
+            _over_parts(part, 10)
 
     @pytest.mark.parametrize("source", ["config", "iterator"])
     @pytest.mark.parametrize("kernel, caller", [(5, 2), (1, 4), (3, 6), (6, 0), (2, 3)])
