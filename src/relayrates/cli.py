@@ -25,6 +25,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .channel import ChannelStats, Scheme, SystemConfig, check_int, check_real, mmse_quality
 from .oracle import (
     af_rate_logdet,
@@ -366,7 +368,7 @@ def cmd_verify(args) -> int:
                               0.0, 1.0, 1e-4)
         searched.append(abs(closed - gridded.argument) > 1e-3)
 
-    worst_gap = max(0.0, *gaps)
+    worst_gap = float(np.max(gaps))  # NaN if any gap is
     rows = [counted("training-sim-vs-closed-form", trained, f"combos within {z:.2f} SE"),
             counted("logdet-vs-scalar-af", routes, f"configs within {z:.2f} SE"),
             ("per-draw-identity", worst_gap <= 1e-9, f"max relative gap {worst_gap:.3e}"),

@@ -19,6 +19,14 @@ sample axis that ``rates._over_parts`` cuts, one part a thread. Every reduction
 (each mean, the standard error, the max and each positive-definite verdict) is
 one whole-array call, so every output bit is what one thread gives. The traced
 public functions run on the caller's thread.
+
+Each per-draw step of the training simulator and the log-det route writes into
+an array the function already owns: an output, a draw it no longer needs or one
+buffer per part, never a fresh temporary per numpy step. It applies the ufuncs
+of the plain expression it stands for, in that expression's order and operand
+order, so every output bit is the plain expression's (``tests/test_oracle.py``
+checks each stage against it). max_identity_gap's scalar form, over a few
+hundred draws, stays plain.
 """
 
 from __future__ import annotations
@@ -57,9 +65,9 @@ def _complex_normal(gen: np.random.Generator, variance: float, n: int) -> np.nda
     if variance == 0.0:
         return np.zeros(n, dtype=complex)
     scale = math.sqrt(variance / 2.0)
-    out = np.empty(n, dtype=complex)
-    np.multiply(gen.standard_normal(n), scale, out=out.real)
-    np.multiply(gen.standard_normal(n), scale, out=out.imag)
+    out, draw = np.empty(n, dtype=complex), np.empty(n)
+    np.multiply(gen.standard_normal(n, out=draw), scale, out=out.real)
+    np.multiply(gen.standard_normal(n, out=draw), scale, out=out.imag)
     return out
 
 
@@ -80,10 +88,17 @@ def simulate_training_quality(sigma: float, delta: float, m: int, p: float, n0: 
     workers = _worker_count(trials, 2)
     h, noise = _concurrently([partial(_complex_normal, stream(seed, tag), var, trials)
                               for tag, var in ((TRAIN_CHANNEL, s2), (TRAIN_NOISE, n0))], workers)
-    y = h * pilot + noise
-    h_hat = (s2 * pilot / (s2 * delta * m * p + n0)) * y
-    estimate, error = _concurrently([lambda: float(np.mean(np.abs(h_hat) ** 2)),
-                                     lambda: float(np.mean(np.abs(h - h_hat) ** 2))], workers)
+    y = np.multiply(h, pilot)
+    y += noise
+    h_hat = np.multiply(s2 * pilot / (s2 * delta * m * p + n0), y, out=y)
+
+    def variance(x: np.ndarray) -> float:  # np.mean(np.abs(x) ** 2)
+        magnitude = np.abs(x)
+        return float(np.mean(np.square(magnitude, out=magnitude)))
+
+    estimate, error = _concurrently([partial(variance, h_hat),
+                                     lambda: variance(np.subtract(h, h_hat, out=noise))],
+                                    workers)
     return EstimationQuality(var_estimate=estimate, var_error=error)
 
 
@@ -116,17 +131,23 @@ def vector_channel_samples(cfg: SystemConfig, stats: ChannelStats, seed: int, co
     cov = np.empty((count, 2, 2), dtype=complex)
 
     def fill(part: slice) -> None:  # beta, A and Cov of the draws in part
-        np.sqrt(ex_r / (np.abs(h_sr[part]) ** 2 * ex_s + ez_r), out=beta[part])
-        relayed = h_rd[part] * beta[part]
+        gain = np.abs(h_sr[part], out=beta[part])  # sqrt(ex_r / (|h_sr|^2 ex_s + ez_r))
+        np.square(gain, out=gain)
+        gain *= ex_s
+        gain += ez_r
+        np.sqrt(np.divide(ex_r, gain, out=gain), out=gain)
+        relayed = h_rd[part] * gain
         a[part, 0] = h_sd[part]
         np.multiply(relayed, h_sr[part], out=a[part, 1])
         # B = [[0, 1, 0], [relayed, 0, 1]], D = diag(ez_r, ez_d, ez_dr). Each product of
         # (B D) B^H is a complex constant or a vector built from `relayed`, summed over
         # B's three columns in matmul's order, one entry of Cov at a time, summed in a
         # contiguous buffer and stored once: Cov's entries are 64 bytes apart.
+        # B D scales `relayed` in place once B^H holds its conjugate.
         rows = ((0j, 1 + 0j, 0j), (relayed, 0j, 1 + 0j))
-        bd = [[np.multiply(x, dk) for x, dk in zip(row, (ez_r, ez_d, ez_dr))] for row in rows]
         bh = [[np.conj(x) for x in row] for row in rows]
+        bd = [[np.multiply(x, dk, out=x if x is relayed else None)
+               for x, dk in zip(row, (ez_r, ez_d, ez_dr))] for row in rows]
         entry = np.empty(len(relayed), dtype=complex)
         for i, j in np.ndindex(2, 2):
             np.multiply(bd[i][0], bh[j][0], out=entry)
@@ -160,17 +181,23 @@ def logdet_integrand(signal_energy: float, a: np.ndarray, cov: np.ndarray) -> np
     l00 = _pivot_sqrt(cov[:, 0, 0].real)
     l10, pivot, out = np.empty(n, dtype=complex), np.empty(n), np.empty(n)
 
-    def lower(part: slice) -> None:
-        np.multiply(cov[part, 1, 0], 1.0 / l00[part], out=l10[part])
-        np.subtract(cov[part, 1, 1].real, l10[part].real ** 2 + l10[part].imag ** 2,
-                    out=pivot[part])
+    def lower(part: slice) -> None:  # out[part] is scratch until whitened writes it
+        l10p, piv, t = l10[part], pivot[part], out[part]
+        np.multiply(cov[part, 1, 0], np.divide(1.0, l00[part], out=piv), out=l10p)
+        np.add(np.square(l10p.real, out=piv), np.square(l10p.imag, out=t), out=piv)
+        np.subtract(cov[part, 1, 1].real, piv, out=piv)
 
     def whitened(part: slice) -> None:
         # L is lower triangular: forward substitution gives w = L^-1 a
-        w0 = a[part, 0] / l00[part]
-        w1 = (a[part, 1] - l10[part] * w0) / l11[part]
-        energy = w0.real ** 2 + w0.imag ** 2 + (w1.real ** 2 + w1.imag ** 2)
-        np.log1p(signal_energy * energy, out=out[part])
+        w0 = np.divide(a[part, 0], l00[part])
+        w1 = np.multiply(l10[part], w0)
+        np.divide(np.subtract(a[part, 1], w1, out=w1), l11[part], out=w1)
+        # energy = (w0.real^2 + w0.imag^2) + (w1.real^2 + w1.imag^2), in that sum order
+        energy, t = out[part], np.empty(len(w0))
+        np.add(np.square(w0.real, out=energy), np.square(w0.imag, out=t), out=energy)
+        np.add(np.square(w1.real, out=t), np.square(w1.imag, out=w1.imag), out=t)
+        energy += t
+        np.log1p(np.multiply(signal_energy, energy, out=energy), out=energy)
 
     _over_parts(lower, n)
     l11 = _pivot_sqrt(pivot)  # each verdict is one whole-array check, as on one thread
@@ -193,9 +220,13 @@ def af_rate_logdet(cfg: SystemConfig, stats: ChannelStats, spec: ExpectationSpec
     logs = logdet_integrand(ex_s, a, cov)
 
     pref = (cfg.m - 2.0) / (2.0 * cfg.m)
-    mean = float(logs.mean())
-    se = float(logs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    if not (0.0 <= mean <= float(logs.max()) + 1e-12):
+    # numpy's mean, max and std(ddof=1), ufunc for ufunc, with the deviations in logs
+    mean, top, se = float(np.add.reduce(logs) / n), float(np.maximum.reduce(logs)), 0.0
+    if n > 1:
+        dev = np.subtract(logs, mean, out=logs)
+        dev *= dev
+        se = math.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n)
+    if not (0.0 <= mean <= top + 1e-12):
         raise ArithmeticError("log-det mean violates its sample bound")
     return RateEstimate(pref * mean, pref * se, n, Method.MONTE_CARLO)
 

@@ -868,6 +868,17 @@ class TestVerifyCommand:
         assert status == {c: "FAIL" if c == check else "pass" for c in self.BIASES}
         assert out.splitlines()[-1].startswith("verify FAILED in ")
 
+    def test_a_nan_gap_fails_the_identity_check(self, capsys, monkeypatch):
+        # a NaN scalar form makes max_identity_gap NaN; the estimates of the other
+        # checks are result types, which reject NaN
+        monkeypatch.setattr(relayrates.oracle, "f_combiner", lambda *args: math.nan)
+        code, out, _ = run(capsys, "verify", "--samples", "10000", "--seed", "1")
+        assert code == 1
+        _, *rows, verdict = out.splitlines()
+        assert [row.split()[0] for row in rows] == ["pass", "pass", "FAIL", "pass"]
+        assert rows[2] == f"{'FAIL':<7}{'per-draw-identity':<35}max relative gap nan"
+        assert verdict.startswith("verify FAILED in ")
+
     # one sample has no standard error, so a correct build failed at tolerance 0; case i
     # of a check runs at seed + i for i < 12, so 2^64 - 12 is the largest seed
     @pytest.mark.parametrize("flag, value, allowed", [

@@ -391,6 +391,63 @@ class TestThreadedStages:
                              np.ones((2, 2, 2), dtype=complex))
 
 
+class TestInPlaceStages:
+    """The stages that compute into arrays they own give the plain numpy expressions
+    bit for bit, on every build: ORACLE_SHA256 runs only where it was recorded."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("link", [(1.0, 0.1, 50, 100.0, 1.0), (2.0, 0.5, 10, 1.0, 1.0),
+                                      (0.5, 0.0, 10, 1.0, 2.0), (4.0, 0.05, 50, 1e9, 0.5)])
+    def test_training_variances_are_the_plain_means(self, monkeypatch, thread_starts,
+                                                   cpus, link):
+        sigma, delta, m, p, n0 = link
+        trials, pilot = THREADED_SAMPLES + 1, math.sqrt(delta * m * p)
+        _cpus(monkeypatch, cpus)
+        for seed in range(3):
+            h, noise = (math.sqrt(v / 2.0) * (g.standard_normal(trials)
+                                              + 1j * g.standard_normal(trials))
+                        for g, v in ((stream(seed, oracle.TRAIN_CHANNEL), sigma * sigma),
+                                     (stream(seed, oracle.TRAIN_NOISE), n0)))
+            y = h * pilot + noise
+            h_hat = (sigma * sigma * pilot / (sigma * sigma * delta * m * p + n0)) * y
+            expected = (np.mean(np.abs(h_hat) ** 2), np.mean(np.abs(h - h_hat) ** 2))
+            q = simulate_training_quality(sigma, delta, m, p, n0, trials, seed)
+            assert (q.var_estimate.hex(), q.var_error.hex()) == tuple(
+                float(v).hex() for v in expected)
+        assert bool(thread_starts) == (cpus == 2)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("samples", [2, THREADED_SAMPLES + 1])
+    @pytest.mark.parametrize("config", KERNEL_CONFIGS)
+    def test_logdet_rate_is_the_plain_mean_and_std(self, monkeypatch, cpus, samples, config):
+        cfg, stats = _af_case(*config)
+        pref = (cfg.m - 2.0) / (2.0 * cfg.m)
+        _cpus(monkeypatch, cpus)
+        for seed in range(3):
+            _, _, a, cov, (ex_s, *_) = vector_channel_samples(cfg, stats, seed, samples)
+            logs = logdet_integrand(ex_s, a, cov)
+            expected = (pref * float(logs.mean()),
+                        pref * float(logs.std(ddof=1) / math.sqrt(samples)))
+            rate = af_rate_logdet(cfg, stats, ExpectationSpec(dims=3, samples=samples,
+                                                              seed=seed))
+            assert (rate.value.hex(), rate.std_error.hex()) == tuple(v.hex() for v in expected)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_peak_memory_of_the_training_simulator(self, monkeypatch, cpus):
+        # h, the noise (later h - h_hat) and y (later h_hat) are complex arrays of trials;
+        # |h_hat| and |h - h_hat|, one each thread, are half of one more. 64 KiB of slack
+        # covers the Python objects and the threads
+        trials = 100_000
+        _cpus(monkeypatch, cpus)
+        tracemalloc.start()
+        try:
+            simulate_training_quality(1.0, 0.1, 50, 100.0, 1.0, trials, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 16 * trials + 64 * 1024
+
+
 class TestGridArgmax:
     def test_constant_ties_to_left_endpoint(self):
         result = grid_argmax(lambda x: np.full(len(x), 0.7), 0.0, 1.0, 0.1)
